@@ -23,9 +23,11 @@ import (
 	"testing"
 
 	"cloudburst/internal/cluster"
+	"cloudburst/internal/cost"
 	"cloudburst/internal/engine"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
+	"cloudburst/internal/shard"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
 )
@@ -57,6 +59,15 @@ type goldenRun struct {
 	// timestamps, which the metric tolerances cover.
 	TraceEvents int    `json:"traceEvents"`
 	TraceHash   string `json:"traceHash"`
+
+	// Sharded runs only (omitted elsewhere, so monolithic entries keep
+	// their bytes): the commit-phase counters, and ShardHash, which
+	// fingerprints the shard, snapshot epoch, retry round and claimed
+	// machine of every event — the conflict history audit replays.
+	Conflicts     int    `json:"conflicts,omitempty"`
+	Replacements  int    `json:"replacements,omitempty"`
+	CommitRetries int    `json:"commitRetries,omitempty"`
+	ShardHash     string `json:"shardHash,omitempty"`
 }
 
 // goldenCase defines one run configuration to pin.
@@ -104,6 +115,16 @@ func goldenCases() []goldenCase {
 			TransferStalls: netsim.StallModel{MeanTimeBetween: 1200, Timeout: 90},
 		},
 	}
+	// Sharded cases pin the commit phase: the hash and disjoint slot
+	// partitions, every scheduler family, a budgeted and a faulted run, and
+	// eight single-retry shards, which exhaust MaxRetries and finish some
+	// batches with the serial fallback round.
+	sharded := func(c engine.Config, n int, disjoint bool, retries int) engine.Config {
+		c.Shards = &shard.Config{Count: n, Disjoint: disjoint, Seed: 7, MaxRetries: retries}
+		return c
+	}
+	budgeted := base
+	budgeted.Cost = &cost.Config{OnDemandRate: 0.10, Budget: 0.25}
 	return []goldenCase{
 		{"greedy", base, func() sched.Scheduler { return sched.Greedy{} }},
 		{"op", base, func() sched.Scheduler { return sched.OrderPreserving{} }},
@@ -116,6 +137,12 @@ func goldenCases() []goldenCase {
 		{"op-ec-revoke", ecRevoke, func() sched.Scheduler { return sched.OrderPreserving{} }},
 		{"op-ic-crash", icCrash, func() sched.Scheduler { return sched.OrderPreserving{} }},
 		{"sibs-stall", stall, func() sched.Scheduler { return &sched.SIBS{} }},
+		{"greedy-shard4", sharded(base, 4, false, 2), func() sched.Scheduler { return sched.Greedy{} }},
+		{"op-shard4-disjoint", sharded(base, 4, true, 2), func() sched.Scheduler { return sched.OrderPreserving{} }},
+		{"sibs-shard4", sharded(base, 4, false, 2), func() sched.Scheduler { return &sched.SIBS{} }},
+		{"greedy-shard8-fallback", sharded(base, 8, false, 1), func() sched.Scheduler { return sched.Greedy{} }},
+		{"greedy-shard4-budget", sharded(budgeted, 4, false, 2), func() sched.Scheduler { return sched.Greedy{} }},
+		{"op-shard4-ic-crash", sharded(icCrash, 4, false, 2), func() sched.Scheduler { return sched.OrderPreserving{} }},
 	}
 }
 
@@ -125,6 +152,7 @@ func runGolden(t *testing.T, gc goldenCase) goldenRun {
 	rec := trace.NewRecorder()
 	cfg := gc.cfg
 	cfg.Tracer = rec
+	cfg.NewScheduler = gc.sched
 	g, err := workload.NewGenerator(workload.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +175,16 @@ func runGolden(t *testing.T, gc goldenCase) goldenRun {
 			ev.Link, ev.From, ev.To, ev.Bytes, ev.OutputBytes)
 	}
 
+	var shardHash string
+	if cfg.Shards != nil {
+		sh := fnv.New64a()
+		for _, ev := range rec.Events() {
+			fmt.Fprintf(sh, "%d|%d|%d|%d|%d|%d|%t\n",
+				ev.Type, ev.JobID, ev.Shard, ev.Epoch, ev.Attempt, ev.Machine, ev.Gated)
+		}
+		shardHash = fmt.Sprintf("%016x", sh.Sum64())
+	}
+
 	return goldenRun{
 		Name:            gc.name,
 		Scheduler:       s.Name(),
@@ -162,6 +200,10 @@ func runGolden(t *testing.T, gc goldenCase) goldenRun {
 		CompletionSum:   compSum,
 		TraceEvents:     rec.Len(),
 		TraceHash:       fmt.Sprintf("%016x", h.Sum64()),
+		Conflicts:       res.Conflicts,
+		Replacements:    res.Replacements,
+		CommitRetries:   res.CommitRetries,
+		ShardHash:       shardHash,
 	}
 }
 
@@ -267,6 +309,13 @@ func TestGoldenDeterminism(t *testing.T) {
 		if g.UploadedBytes != w.UploadedBytes || g.DownloadedBytes != w.DownloadedBytes {
 			t.Errorf("%s: transferred bytes = %d/%d, golden %d/%d",
 				w.Name, g.UploadedBytes, g.DownloadedBytes, w.UploadedBytes, w.DownloadedBytes)
+		}
+		if g.Conflicts != w.Conflicts || g.Replacements != w.Replacements || g.CommitRetries != w.CommitRetries {
+			t.Errorf("%s: conflicts/replacements/retries = %d/%d/%d, golden %d/%d/%d",
+				w.Name, g.Conflicts, g.Replacements, g.CommitRetries, w.Conflicts, w.Replacements, w.CommitRetries)
+		}
+		if g.ShardHash != w.ShardHash {
+			t.Errorf("%s: shard history changed: hash %s, golden %s", w.Name, g.ShardHash, w.ShardHash)
 		}
 		if g.TraceEvents != w.TraceEvents || g.TraceHash != w.TraceHash {
 			t.Errorf("%s: trace sequence changed: %d events hash %s, golden %d events hash %s",
