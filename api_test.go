@@ -63,8 +63,8 @@ func TestNormalizeIdempotentAndEquivalent(t *testing.T) {
 	}{
 		{"fast op", fastOpts(OrderPreserving)},
 		{"fast sibs with faults", withFaults(fastOpts(SIBS))},
-		{"paper testbed with faults", withFaults(PaperTestbed())},
-		{"high variance with faults", withFaults(HighVariance())},
+		{"paper testbed with faults", withFaults(mustPreset(t, "paper"))},
+		{"high variance with faults", withFaults(mustPreset(t, "highvar"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,21 +149,31 @@ func TestCompareContextMatchesSequentialRuns(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	pt := PaperTestbed()
+	pt := mustPreset(t, "paper")
 	if pt.ICMachines != 8 || pt.ECMachines != 2 || pt.Scheduler != OrderPreserving {
-		t.Fatalf("PaperTestbed = %+v", pt)
+		t.Fatalf("paper preset = %+v", pt)
 	}
-	hv := HighVariance()
+	hv := mustPreset(t, "highvar")
 	if hv.JitterCV != 0.5 {
-		t.Fatalf("HighVariance JitterCV = %v, want 0.5", hv.JitterCV)
+		t.Fatalf("highvar JitterCV = %v, want 0.5", hv.JitterCV)
 	}
 	hv.JitterCV = pt.JitterCV
 	if !reflect.DeepEqual(pt, hv) {
-		t.Fatal("HighVariance differs from PaperTestbed beyond JitterCV")
+		t.Fatal("highvar differs from paper beyond JitterCV")
 	}
 	if _, err := Run(pt); err != nil {
-		t.Fatalf("PaperTestbed run failed: %v", err)
+		t.Fatalf("paper preset run failed: %v", err)
 	}
+}
+
+// mustPreset returns the named registered preset or fails the test.
+func mustPreset(t *testing.T, name string) Options {
+	t.Helper()
+	o, err := Preset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func TestFaultRunThroughRootAPI(t *testing.T) {

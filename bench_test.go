@@ -115,8 +115,8 @@ func BenchmarkRunOpLarge(b *testing.B) { benchRun(b, OrderPreserving, Large) }
 // acceptance-scale cell: a 2000-machine cluster, 4 shards, and enough EC
 // demand that the commit phase arbitrates real collisions. Beyond the
 // standard columns it reports placement throughput and the conflict rate,
-// so a regression in either the fan-out or the arbitration shows up in
-// BENCH.json.
+// so a regression in either shard scheduling or the arbitration shows up
+// in BENCH.json.
 func BenchmarkShardedPlacement(b *testing.B) {
 	o := Options{
 		Scheduler:        Greedy,

@@ -173,11 +173,10 @@ type Options struct {
 	Cost *CostOptions
 
 	// Shards, when non-nil with Count > 1, arms shared-state sharded
-	// scheduling: concurrent scheduler instances place disjoint partitions
-	// of each batch against an immutable cluster snapshot, with optimistic
-	// conflict detection and bounded re-placement at commit time (see
-	// ShardOptions). Nil or Count <= 1 keeps the monolithic path and its
-	// bit-identical traces.
+	// scheduling: scheduler shards place disjoint partitions of each batch
+	// against one cluster snapshot, with optimistic conflict detection and
+	// bounded re-placement at commit time (see ShardOptions). Nil or
+	// Count <= 1 keeps the monolithic path and its bit-identical traces.
 	Shards *ShardOptions
 
 	// Reporting.
@@ -217,7 +216,7 @@ type ECSiteSpec struct {
 // the returned value runs identically to the receiver, but each zero field
 // that has a documented default now carries that default. It is idempotent,
 // and Run applies it automatically — call it directly to inspect or tweak
-// the effective configuration (see PaperTestbed).
+// the effective configuration (see Preset).
 //
 // One intentional gap: ExtraECSites bandwidths stay zero, because the
 // engine's per-site default profiles use a fixed 0.3 diurnal amplitude

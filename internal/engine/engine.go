@@ -83,10 +83,10 @@ type Config struct {
 	Faults *FaultConfig
 
 	// Shards, when set with Count > 1, routes every batch through the
-	// shared-state sharded placement path: Count scheduler instances place
-	// concurrently against an immutable snapshot, a deterministic commit
-	// phase detects machine-claim and budget collisions, and losers
-	// re-place against refreshed snapshots. Requires NewScheduler.
+	// shared-state sharded placement path: Count scheduler shards place in
+	// shard order against one snapshot, a deterministic commit phase
+	// detects machine-claim and budget collisions, and losers re-place
+	// against refreshed snapshots. Requires NewScheduler.
 	Shards *shard.Config
 	// NewScheduler builds one scheduler instance per shard. Stateful
 	// schedulers (SIBS carries its size-interval bounds across batches)

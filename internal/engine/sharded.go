@@ -9,7 +9,7 @@ import (
 )
 
 // onBatchSharded drives one batch through the shared-state placement path:
-// snapshot → concurrent speculative scheduling → deterministic commit →
+// snapshot → speculative scheduling in shard order → deterministic commit →
 // re-place losers against a refreshed snapshot. After MaxRetries
 // conflicted rounds the batch finishes with one serial round (conflict
 // detection off), so every job is always placed.
@@ -19,15 +19,12 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 	committed, bursted := 0, 0
 	for attempt := 1; len(pending) > 0; attempt++ {
 		e.epoch++
-		// The snapshot must be safe for concurrent reads: materialize the
-		// estimator's deferred fits (Estimate is then a pure function),
-		// strip the memoizing EstimateJob, which writes the shared cache,
-		// and route estimates through the buffer-local concurrent path —
-		// Estimate proper reuses per-model scratch across calls.
+		// Settle the estimator's deferred fits at the start of every
+		// round. When a deferred fit runs decides which fits exist, and
+		// the result's R² reads the global model's settled fit, so this
+		// point is part of the pinned sharded behaviour.
 		e.estimator.Materialize()
 		st := e.state()
-		st.EstimateJob = nil
-		st.EstimateProc = e.estimator.EstimateConcurrent
 		if firstState == nil {
 			firstState = st
 		}
@@ -68,18 +65,9 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 			}
 		}
 
-		shard.CheckTempIDs(e.alloc.Peek())
-		outcomes := e.coord.Round(pending, snap, nShards, detect)
-
-		// Chunk IDs minted inside the round are shard-temporary; renumber
-		// them from the real allocator in deterministic merge order before
-		// any event mentions them.
-		for i := range outcomes {
-			if j := outcomes[i].D.Job; j.ID >= shard.TempIDBase {
-				j.ID = e.alloc.NextID()
-				e.chunks++
-			}
-		}
+		before := e.alloc.Peek()
+		outcomes := e.coord.Round(pending, snap, e.alloc, nShards, detect)
+		e.chunks += e.alloc.Peek() - before
 		e.total += len(outcomes) - len(pending)
 
 		var losers []*job.Job

@@ -181,28 +181,6 @@ func (e *Estimator) Estimate(f job.Features) float64 {
 	return v
 }
 
-// EstimateConcurrent is Estimate for the sharded fan-out: the same model
-// preference order and the same arithmetic — the two agree bit for bit —
-// but every prediction uses caller-local buffers instead of the models'
-// shared scratch, so any number of goroutines may estimate simultaneously.
-// The estimator must be Materialized first and must not be observed,
-// refit or cloned while concurrent readers are active; an unmaterialized
-// model panics rather than racing.
-func (e *Estimator) EstimateConcurrent(f job.Features) float64 {
-	x := f.Vector()
-	if c := int(f.Class); c >= 0 && c < len(e.perClass) && e.perClass[c].wellDeterminedRead() {
-		return e.perClass[c].predictClampedConcurrent(x, e.floor)
-	}
-	if e.global.fittedRead() {
-		return e.global.predictClampedConcurrent(x, e.floor)
-	}
-	v := e.fallbackMB * f.SizeMB
-	if v < e.floor {
-		return e.floor
-	}
-	return v
-}
-
 // GlobalModel exposes the global QRSM for diagnostics (Fig. 3 reports the
 // fitted surface).
 func (e *Estimator) GlobalModel() *Model { return e.global }

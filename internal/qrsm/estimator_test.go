@@ -2,7 +2,6 @@ package qrsm
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"cloudburst/internal/job"
@@ -173,53 +172,4 @@ func TestEstimatorErrorsEchoPaperBehaviour(t *testing.T) {
 	if over == 0 || under == 0 {
 		t.Fatalf("estimator should err both ways: over=%d under=%d", over, under)
 	}
-}
-
-// TestEstimateConcurrentMatchesEstimate pins the sharded fan-out's
-// prediction path: for every model-selection branch (well-determined class
-// model, global model, size fallback) the buffer-local concurrent variant
-// must agree with Estimate bit for bit, including under parallel readers.
-func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
-	g := stats.NewRNG(11)
-	e := NewEstimator()
-	var fs []job.Features
-	var ys []float64
-	for i := 0; i < 300; i++ {
-		f := synthFeatures(g, job.Class(i%job.NumClasses))
-		fs = append(fs, f)
-		ys = append(ys, synthTruth(f)*g.LogNormalMeanCV(1, 0.05))
-	}
-	e.Bootstrap(fs, ys)
-	e.Materialize()
-
-	probes := make([]job.Features, 64)
-	for i := range probes {
-		probes[i] = synthFeatures(g, job.Class(i%job.NumClasses))
-	}
-	for _, f := range probes {
-		if a, b := e.Estimate(f), e.EstimateConcurrent(f); a != b {
-			t.Fatalf("EstimateConcurrent diverged: %v vs %v for %+v", b, a, f)
-		}
-	}
-	// Cold estimator: both sides take the size-fallback branch.
-	cold := NewEstimator(WithFallbackRate(2), WithFloor(1))
-	cold.Materialize()
-	f := job.Features{SizeMB: 50}
-	if a, b := cold.Estimate(f), cold.EstimateConcurrent(f); a != b {
-		t.Fatalf("fallback branch diverged: %v vs %v", b, a)
-	}
-
-	// Parallel readers over the materialized estimator (the -race leg
-	// makes this a real concurrency check).
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, f := range probes {
-				_ = e.EstimateConcurrent(f)
-			}
-		}()
-	}
-	wg.Wait()
 }

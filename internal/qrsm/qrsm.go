@@ -342,54 +342,6 @@ func (m *Model) PredictClamped(x []float64, floor float64) float64 {
 	return v
 }
 
-// predictConcurrent evaluates the surface like Predict but with
-// caller-local buffers instead of the model's scratch, so any number of
-// goroutines may consult a *materialized* model simultaneously (sharded
-// placement rounds materialize first, then treat the estimator as
-// read-only for the duration of the fan-out). The arithmetic is identical
-// to Predict's, so the two paths agree bit for bit.
-func (m *Model) predictConcurrent(x []float64) (float64, error) {
-	if m.pending {
-		// A deferred fit would mutate under the readers; that is a caller
-		// bug, not a recoverable condition.
-		panic("qrsm: concurrent predict on an unmaterialized model")
-	}
-	if !m.fitted {
-		return 0, ErrNotFitted
-	}
-	if len(x) != m.dim {
-		panic(fmt.Sprintf("qrsm: predict dim %d, want %d", len(x), m.dim))
-	}
-	z := make([]float64, m.dim)
-	b := make([]float64, BasisSize(m.dim))
-	m.standardizeInto(x, z)
-	basisInto(z, b)
-	return linalg.Dot(b, m.coef), nil
-}
-
-// predictClampedConcurrent is PredictClamped over the concurrent-safe
-// prediction path.
-func (m *Model) predictClampedConcurrent(x []float64, floor float64) float64 {
-	v, err := m.predictConcurrent(x)
-	if err != nil || math.IsNaN(v) || v < floor {
-		return floor
-	}
-	return v
-}
-
-// fittedRead and wellDeterminedRead mirror Fitted/WellDetermined without
-// the materialize step, for concurrent readers of a materialized model.
-func (m *Model) fittedRead() bool {
-	if m.pending {
-		panic("qrsm: concurrent read of an unmaterialized model")
-	}
-	return m.fitted
-}
-
-func (m *Model) wellDeterminedRead() bool {
-	return m.fittedRead() && len(m.ys) >= 2*BasisSize(m.dim)
-}
-
 // R2 returns the coefficient of determination on the training window
 // (meaningful only after Fit).
 func (m *Model) R2() float64 {

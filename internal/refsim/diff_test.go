@@ -236,12 +236,12 @@ func TestEngineAgreesWithReference(t *testing.T) {
 	}
 }
 
-// TestShardedEngineConservesReference pins the sharded fan-out against the
+// TestShardedEngineConservesReference pins the sharded path against the
 // reference stack on placement-invariant quantities: speculative placement
 // may move jobs between machines (so SLA metrics legitimately drift from
 // the monolithic reference), but it must never create, drop or
 // double-deliver work, and the invariant checker must stay silent over the
-// concurrent commit path.
+// optimistic commit path.
 func TestShardedEngineConservesReference(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		chk := invariant.New()

@@ -1,42 +1,28 @@
-// Package shard implements shared-state optimistic concurrent scheduling
-// in the style of arktos' global scheduler: N scheduler instances place
-// jobs against one immutable snapshot of cluster state, each consuming a
-// hash partition of the arrival stream, and a deterministic commit phase
-// detects placement collisions — two shards claiming the same idle
-// machine slot, or the fleet's EC budget over-committed by the sum of
-// individually-admitted bursts. Losers re-enter the next round against a
-// refreshed snapshot; conflicts, re-placements and commit retries are
-// first-class metrics.
+// Package shard implements shared-state optimistic scheduling in the
+// style of arktos' global scheduler: N scheduler instances place jobs
+// against one snapshot of cluster state, each consuming a hash partition
+// of the arrival stream, and a deterministic commit phase detects
+// placement collisions — two shards claiming the same idle machine slot,
+// or the fleet's EC budget over-committed by the sum of individually
+// admitted bursts. Losers re-enter the next round against a refreshed
+// snapshot; conflicts, re-placements and commit retries are first-class
+// metrics.
 //
-// Determinism contract: shards run on real goroutines (so the race
-// detector exercises the concurrent path), but every input they read is
-// immutable for the duration of the round and their outputs are merged in
-// shard order. A sharded run is therefore bit-reproducible regardless of
-// GOMAXPROCS or goroutine interleaving.
+// The package models a multi-scheduler control plane; it does not make
+// placement parallel. A round calls each shard's scheduler in shard index
+// order on the calling goroutine, every shard against the same snapshot,
+// so a sharded run is bit-reproducible and needs no synchronization.
 package shard
 
 import (
-	"fmt"
-	"sync"
-
 	"cloudburst/internal/job"
 	"cloudburst/internal/sched"
 )
 
-// TempIDBase is the floor of the per-shard temporary chunk-ID space.
-// Shard-local allocators hand out IDs >= TempIDBase during a round; the
-// engine renumbers them from its real allocator at merge time, in
-// deterministic merge order, so chunk IDs are identical no matter how the
-// goroutines interleaved.
-const TempIDBase = 1 << 28
-
-// tempIDSpan is the per-shard width of the temporary ID space.
-const tempIDSpan = 1 << 20
-
 // Config parameterizes the sharded placement path.
 type Config struct {
-	// Count is the number of concurrent scheduler shards; <= 1 disables
-	// sharding entirely (the engine keeps its monolithic path).
+	// Count is the number of scheduler shards; <= 1 disables sharding
+	// entirely (the engine keeps its monolithic path).
 	Count int
 	// Disjoint partitions the claimable machine slots into per-shard
 	// contiguous ranges instead of overlapping claim sequences, making
@@ -82,13 +68,11 @@ func (p Partitioner) Shard(jobID int) int {
 // Count returns the shard count.
 func (p Partitioner) Count() int { return p.count }
 
-// Snapshot is the immutable system view one placement round runs against.
-// Everything reachable from it must be safe for concurrent reads: the
-// engine materializes the estimator and strips the mutating EstimateJob
-// memo before fanning out.
+// Snapshot is the system view one placement round runs against: every
+// shard of the round schedules against the same state, so no shard sees
+// another's speculative placements until the commit phase.
 type Snapshot struct {
-	// State is the scheduler-observable state, shared read-only by every
-	// shard. State.EstimateJob must be nil.
+	// State is the scheduler-observable state shared by every shard.
 	State *sched.State
 	// FreeEC lists the primary-EC machine IDs idle at snapshot time, in
 	// dispatch order. These are the claimable slots of the round.
@@ -119,12 +103,11 @@ type Outcome struct {
 
 // Coordinator owns the per-shard scheduler instances (schedulers like SIBS
 // carry state across batches, so each shard keeps its own) and runs
-// placement rounds: fan out, speculative schedule, deterministic commit.
+// placement rounds: partition, speculative schedule, deterministic commit.
 type Coordinator struct {
 	cfg    Config
 	parts  Partitioner
 	scheds []sched.Scheduler
-	allocs []*job.Counter
 
 	// Conflict-scan scratch, reused across rounds.
 	claims map[int]bool
@@ -143,7 +126,6 @@ func NewCoordinator(cfg Config, newScheduler func() sched.Scheduler) *Coordinato
 		cfg:    cfg,
 		parts:  NewPartitioner(cfg.Seed, cfg.Count),
 		scheds: make([]sched.Scheduler, cfg.Count),
-		allocs: make([]*job.Counter, cfg.Count),
 		claims: make(map[int]bool),
 		outs:   make([][]sched.Decision, cfg.Count),
 	}
@@ -176,14 +158,14 @@ func (c *Coordinator) Bounds() (sBound, mBound int64, ok bool) {
 }
 
 // Round runs one optimistic placement round: partition pending jobs over
-// nShards shards, schedule concurrently against the snapshot, then commit
-// in shard order detecting machine-claim and budget collisions. With
-// detect false (the serial fallback, nShards == 1) every decision wins, so
-// the round always terminates the batch.
+// nShards shards, schedule each partition against the snapshot in shard
+// order, then commit in the same order detecting machine-claim and budget
+// collisions. With detect false (the serial fallback, nShards == 1) every
+// decision wins, so the round always terminates the batch.
 //
-// Chunk IDs allocated during the round are temporary (>= TempIDBase); the
-// caller renumbers them in merge order before emitting any event.
-func (c *Coordinator) Round(pending []*job.Job, snap *Snapshot, nShards int, detect bool) []Outcome {
+// Chunks minted during the round draw their IDs from alloc in shard
+// order, which is also the order of the returned outcomes.
+func (c *Coordinator) Round(pending []*job.Job, snap *Snapshot, alloc job.IDAllocator, nShards int, detect bool) []Outcome {
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -203,30 +185,17 @@ func (c *Coordinator) Round(pending []*job.Job, snap *Snapshot, nShards int, det
 		parts[s] = append(parts[s], j)
 	}
 
-	// Fan out on real goroutines. Every shard reads only the immutable
-	// snapshot and writes only its own slot of outs.
-	var wg sync.WaitGroup
+	total := 0
 	for s := 0; s < nShards; s++ {
 		c.outs[s] = nil
-		if len(parts[s]) == 0 {
-			continue
+		if len(parts[s]) > 0 {
+			c.outs[s] = c.scheds[s].Schedule(parts[s], snap.State, alloc)
+			total += len(c.outs[s])
 		}
-		base := TempIDBase + s*tempIDSpan
-		c.allocs[s] = job.NewCounter(base)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			c.outs[s] = c.scheds[s].Schedule(parts[s], snap.State, c.allocs[s])
-		}(s)
 	}
-	wg.Wait()
 
 	// Deterministic commit: walk shards in index order, their decisions in
 	// scheduler order, claiming idle machine slots and budget headroom.
-	total := 0
-	for s := 0; s < nShards; s++ {
-		total += len(c.outs[s])
-	}
 	outcomes := make([]Outcome, 0, total)
 	for k := range c.claims {
 		delete(c.claims, k)
@@ -275,48 +244,4 @@ func (c *Coordinator) Round(pending []*job.Job, snap *Snapshot, nShards int, det
 		}
 	}
 	return outcomes
-}
-
-// SplitState carves the shard's private share out of a full system state
-// for the disjoint metamorphic suite: machine counts split contiguously
-// (remainders to low shards) and backlogs scale with the machine
-// fraction. Shared-path fields (links, predictors, estimators) are
-// referenced as-is — they are read-only.
-func SplitState(base *sched.State, s, n int) *sched.State {
-	if n < 1 {
-		n = 1
-	}
-	part := *base
-	icLo, icHi := cut(base.ICMachines, s, n)
-	ecLo, ecHi := cut(base.ECMachines, s, n)
-	icFrac := frac(icHi-icLo, base.ICMachines)
-	ecFrac := frac(ecHi-ecLo, base.ECMachines)
-	part.ICMachines = icHi - icLo
-	part.ECMachines = ecHi - ecLo
-	part.ICBacklogStd = base.ICBacklogStd * icFrac
-	part.ECBacklogStd = base.ECBacklogStd * ecFrac
-	part.ECPendingStd = base.ECPendingStd * ecFrac
-	return &part
-}
-
-// cut returns shard s's contiguous [lo, hi) share of m items.
-func cut(m, s, n int) (lo, hi int) {
-	return s * m / n, (s + 1) * m / n
-}
-
-func frac(part, whole int) float64 {
-	if whole <= 0 {
-		return 0
-	}
-	return float64(part) / float64(whole)
-}
-
-// CheckTempIDs panics when the real allocator has grown into the
-// temporary chunk-ID space — the renumbering scheme would stop being
-// collision-free. Practically unreachable (2^28 jobs), but cheap to keep
-// machine-checked.
-func CheckTempIDs(nextReal int) {
-	if nextReal >= TempIDBase {
-		panic(fmt.Sprintf("shard: job ID space exhausted (next real ID %d >= temp base %d)", nextReal, TempIDBase))
-	}
 }

@@ -104,7 +104,7 @@ func newCoord(cfg shard.Config) *shard.Coordinator {
 func TestRoundSerialFallbackCommitsEverything(t *testing.T) {
 	c := newCoord(shard.Config{Count: 4, Seed: 1})
 	jobs := mkJobs(12)
-	outs := c.Round(jobs, snapshot([]int{0}), 1, false)
+	outs := c.Round(jobs, snapshot([]int{0}), job.NewCounter(1000), 1, false)
 	if len(outs) != len(jobs) {
 		t.Fatalf("serial round returned %d outcomes for %d jobs", len(outs), len(jobs))
 	}
@@ -121,7 +121,7 @@ func TestRoundDetectsMachineCollisions(t *testing.T) {
 	// collisions are guaranteed.
 	c := newCoord(shard.Config{Count: 4, Seed: 1})
 	jobs := mkJobs(12)
-	outs := c.Round(jobs, snapshot([]int{100, 101}), 4, true)
+	outs := c.Round(jobs, snapshot([]int{100, 101}), job.NewCounter(1000), 4, true)
 	if len(outs) != len(jobs) {
 		t.Fatalf("round returned %d outcomes for %d jobs", len(outs), len(jobs))
 	}
@@ -158,7 +158,7 @@ func TestRoundDisjointIsConflictFree(t *testing.T) {
 	for i := range free {
 		free[i] = 100 + i
 	}
-	outs := c.Round(jobs, snapshot(free), 4, true)
+	outs := c.Round(jobs, snapshot(free), job.NewCounter(1000), 4, true)
 	claimed := map[int]bool{}
 	for _, o := range outs {
 		if !o.Won {
@@ -183,7 +183,7 @@ func TestRoundBudgetOverCommit(t *testing.T) {
 	snap.BudgetArmed = true
 	snap.Charge = func(estStd float64) float64 { return 1 }
 	snap.Remaining = 2.5 // room for two unit charges, not three
-	outs := c.Round(jobs, snap, 2, true)
+	outs := c.Round(jobs, snap, job.NewCounter(1000), 2, true)
 	wins, budgetLosses := 0, 0
 	for _, o := range outs {
 		switch {
@@ -202,7 +202,7 @@ func TestRoundBudgetOverCommit(t *testing.T) {
 }
 
 // TestRoundMergeMatchesSerialPartitions is the coordinator-level metamorphic
-// property: with a disjoint slot partition, the concurrent round must produce
+// property: with a disjoint slot partition, the round must produce
 // exactly the decisions each shard's scheduler would produce serially on its
 // partition — same totals to 1e-9 — across seeds and scheduler families.
 func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
@@ -230,8 +230,8 @@ func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 				}
 				snap := snapshot([]int{100, 101, 102, 103})
 
-				// Concurrent round.
-				outs := c.Round(jobs, snap, n, true)
+				// Coordinated round.
+				outs := c.Round(jobs, snap, job.NewCounter(1000), n, true)
 				gotProc, gotEC := 0.0, 0
 				for _, o := range outs {
 					if !o.Won {
@@ -279,7 +279,7 @@ func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 func TestRoundDeterministicAcrossRuns(t *testing.T) {
 	run := func() []shard.Outcome {
 		c := newCoord(shard.Config{Count: 4, Seed: 9})
-		return c.Round(mkJobs(16), snapshot([]int{100, 101, 102}), 4, true)
+		return c.Round(mkJobs(16), snapshot([]int{100, 101, 102}), job.NewCounter(1000), 4, true)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -291,48 +291,4 @@ func TestRoundDeterministicAcrossRuns(t *testing.T) {
 			t.Fatalf("outcome %d differs between identical rounds:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestSplitStateConservesTotals(t *testing.T) {
-	base := &sched.State{
-		ICMachines: 7, ECMachines: 5,
-		ICBacklogStd: 700, ECBacklogStd: 500, ECPendingStd: 50,
-	}
-	for _, n := range []int{1, 2, 3, 4, 5, 8} {
-		ic, ec := 0, 0
-		icB, ecB, ecP := 0.0, 0.0, 0.0
-		for s := 0; s < n; s++ {
-			part := shard.SplitState(base, s, n)
-			ic += part.ICMachines
-			ec += part.ECMachines
-			icB += part.ICBacklogStd
-			ecB += part.ECBacklogStd
-			ecP += part.ECPendingStd
-		}
-		if ic != base.ICMachines || ec != base.ECMachines {
-			t.Fatalf("n=%d: machines %d/%d, want %d/%d", n, ic, ec, base.ICMachines, base.ECMachines)
-		}
-		if math.Abs(icB-base.ICBacklogStd) > 1e-9 || math.Abs(ecB-base.ECBacklogStd) > 1e-9 ||
-			math.Abs(ecP-base.ECPendingStd) > 1e-9 {
-			t.Fatalf("n=%d: backlogs %v/%v/%v not conserved", n, icB, ecB, ecP)
-		}
-	}
-}
-
-func TestSplitStateZeroMachines(t *testing.T) {
-	base := &sched.State{ICMachines: 0, ECMachines: 0, ICBacklogStd: 10}
-	part := shard.SplitState(base, 0, 3)
-	if part.ICMachines != 0 || part.ICBacklogStd != 0 {
-		t.Fatalf("zero-machine split leaked backlog: %+v", part)
-	}
-}
-
-func TestCheckTempIDs(t *testing.T) {
-	shard.CheckTempIDs(1 << 27) // fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CheckTempIDs did not panic at the temp base")
-		}
-	}()
-	shard.CheckTempIDs(shard.TempIDBase)
 }

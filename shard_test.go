@@ -98,9 +98,8 @@ func TestShardedDisjointMetricsStable(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerInvariance pins the determinism contract: the merged
-// event stream must not depend on how the runtime schedules the shard
-// goroutines.
+// TestShardedWorkerInvariance pins the determinism contract: the sharded
+// event stream must not depend on GOMAXPROCS.
 func TestShardedWorkerInvariance(t *testing.T) {
 	run := func(procs int) []TraceEvent {
 		prev := runtime.GOMAXPROCS(procs)
@@ -123,7 +122,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 
 // TestShardedStressTinyCluster runs GOMAXPROCS shards against a tiny
 // cluster — maximum contention per free slot — under the invariant checker.
-// The race leg (-race -short) exercises the concurrent fan-out for real.
 func TestShardedStressTinyCluster(t *testing.T) {
 	shards := runtime.GOMAXPROCS(0)
 	if shards < 2 {

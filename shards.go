@@ -9,22 +9,24 @@ import (
 	"cloudburst/internal/sweep"
 )
 
-// ShardOptions arms shared-state sharded scheduling: Count concurrent
-// scheduler instances each place a partition of every arrival batch against
-// an immutable snapshot of the cluster, and a deterministic commit phase
+// ShardOptions arms shared-state sharded scheduling: Count scheduler shards
+// each place a partition of every arrival batch against one snapshot of
+// the cluster, and a deterministic commit phase
 // detects placement collisions (two shards claiming the same machine slot,
 // or over-committing the EC budget) and re-places the losers against a
 // refreshed snapshot. Conflicts, re-placements and commit retries surface
 // on the Report and in the trace stream (PlacementConflict,
 // PlacementRetried).
 //
+// The shards model a multi-scheduler control plane; they run one after
+// another in shard order, so sharding does not make a run faster.
 // Count=1 (or a nil ShardOptions) keeps the monolithic scheduling path and
 // its bit-identical traces. Results for Count>1 are deterministic — shards
 // communicate only through the snapshot and the ordered commit — but are
 // not event-for-event identical to the monolithic run, because speculative
 // placement changes which machine each job lands on.
 type ShardOptions struct {
-	// Count is the number of concurrent scheduler shards, 1–64.
+	// Count is the number of scheduler shards, 1–64.
 	// 0 normalizes to 1 (monolithic).
 	Count int
 	// Partition selects how shards claim machine slots: "hash" (default)
