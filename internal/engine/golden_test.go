@@ -13,6 +13,7 @@ package engine_test
 //	go test ./internal/engine -run TestGoldenDeterminism -update-golden
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -320,6 +321,127 @@ func TestGoldenDeterminism(t *testing.T) {
 		if g.TraceEvents != w.TraceEvents || g.TraceHash != w.TraceHash {
 			t.Errorf("%s: trace sequence changed: %d events hash %s, golden %d events hash %s",
 				w.Name, g.TraceEvents, g.TraceHash, w.TraceEvents, w.TraceHash)
+		}
+	}
+}
+
+// Serve goldens pin long streaming runs, whose per-class QRSM windows grow
+// to thousands of samples — far past the few hundred the Run goldens fit.
+// Every field must match exactly: the trace fingerprint covers each
+// placement decision, and QRSMR2Bits is the raw IEEE-754 pattern of the
+// global model's settled R², so a fit that moves by one ulp fails.
+//
+// Regenerate together with the Run goldens (-update-golden), and only for
+// a reviewed semantic change.
+const serveGoldenPath = "testdata/serve_golden.json"
+
+type goldenServe struct {
+	Name        string  `json:"name"`
+	Fingerprint string  `json:"fingerprint"`
+	TraceEvents uint64  `json:"traceEvents"`
+	Fed         int     `json:"fed"`
+	Windows     int     `json:"windows"`
+	VirtualTime float64 `json:"virtualTime"`
+	QRSMR2Bits  string  `json:"qrsmR2Bits"`
+}
+
+type serveGoldenCase struct {
+	name     string
+	cfg      engine.Config
+	sched    sched.Scheduler
+	stream   workload.StreamConfig
+	duration float64
+}
+
+func serveGoldenCases() []serveGoldenCase {
+	steady := func(float64) float64 { return 15 }
+	return []serveGoldenCase{
+		{
+			name:     "serve-steady-op-32x4",
+			cfg:      engine.Config{NetSeed: 43, ICMachines: 32, ECMachines: 4},
+			sched:    sched.OrderPreserving{},
+			stream:   workload.StreamConfig{Bucket: workload.UniformMix, Rate: steady, Seed: 42},
+			duration: 4 * 3600,
+		},
+		{
+			name:     "serve-diurnal-sibs",
+			cfg:      engine.Config{NetSeed: 43},
+			sched:    &sched.SIBS{},
+			stream:   workload.StreamConfig{Bucket: workload.UniformMix, Seed: 42},
+			duration: 2 * 3600,
+		},
+		{
+			name: "serve-flashcrowd-ec-revoke",
+			cfg: engine.Config{
+				NetSeed: 43,
+				Faults: &engine.FaultConfig{
+					ECRevocation: cluster.FaultModel{MTBF: 1200, MTTR: 600},
+					Seed:         43,
+				},
+			},
+			sched: sched.OrderPreserving{},
+			stream: workload.StreamConfig{
+				Bucket: workload.UniformMix,
+				Burst:  &workload.BurstConfig{MeanGap: 1800, MeanDuration: 600},
+				Seed:   42,
+			},
+			duration: 2 * 3600,
+		},
+	}
+}
+
+func runServeGolden(t *testing.T, c serveGoldenCase) goldenServe {
+	t.Helper()
+	src, err := workload.NewStream(c.stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Serve(context.Background(), c.cfg, c.sched, src,
+		engine.StreamConfig{Window: 600, Duration: c.duration})
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return goldenServe{
+		Name:        c.name,
+		Fingerprint: fmt.Sprintf("%016x", res.Fingerprint),
+		TraceEvents: res.TraceEvents,
+		Fed:         res.Fed,
+		Windows:     res.Windows,
+		VirtualTime: res.VirtualTime,
+		QRSMR2Bits:  fmt.Sprintf("%016x", math.Float64bits(res.QRSMR2)),
+	}
+}
+
+func TestServeGolden(t *testing.T) {
+	var got []goldenServe
+	for _, c := range serveGoldenCases() {
+		got = append(got, runServeGolden(t, c))
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(serveGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d cases)", serveGoldenPath, len(got))
+		return
+	}
+	data, err := os.ReadFile(serveGoldenPath)
+	if err != nil {
+		t.Fatalf("missing serve golden file (run with -update-golden to create): %v", err)
+	}
+	var want []goldenServe
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("serve golden has %d cases, test produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("serve run changed:\n  got    %+v\n  golden %+v", got[i], want[i])
 		}
 	}
 }
