@@ -196,6 +196,33 @@ func BenchmarkQRSMPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkQRSMRefitGrowing grows one QRSM to 2000 samples, requesting a
+// refit and consulting the model every 25 observations — the life of a
+// streaming service's per-class model, whose window grows with history.
+// It exercises the fit path's column assembly, blocked factorization and
+// amortized workspace growth.
+func BenchmarkQRSMRefitGrowing(b *testing.B) {
+	fs, ys := workload.BootstrapSet(benchSeed, 2000, 0.12)
+	xs := make([][]float64, len(fs))
+	for i, f := range fs {
+		xs[i] = f.Vector()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := qrsm.New(len(xs[0]))
+		for j, x := range xs {
+			m.Observe(x, ys[j])
+			if (j+1)%25 == 0 {
+				m.RequestFit()
+				m.PredictClamped(x, 1)
+			}
+		}
+		if !m.Fitted() {
+			b.Fatal("fit failed")
+		}
+	}
+}
+
 func BenchmarkLinkTransfers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()

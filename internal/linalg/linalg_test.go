@@ -2,7 +2,9 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,4 +306,255 @@ func TestStringRendering(t *testing.T) {
 	if len(s) == 0 {
 		t.Fatal("empty String()")
 	}
+}
+
+// refFactor is the unblocked right-looking Householder sweep the
+// column-blocked kernel replaced, kept as an oracle: the blocked kernel
+// must reproduce its packed factors bit for bit.
+func refFactor(q *QR) {
+	buf, rd, m, n, band := q.a, q.rd, q.m, q.n, q.band
+	for k := 0; k < n; k++ {
+		ck := buf[k*m : (k+1)*m]
+		hi := band + k + 1
+		if hi > m {
+			hi = m
+		}
+		nrm := Norm2(ck[k:hi])
+		if nrm == 0 {
+			rd[k] = 0
+			continue
+		}
+		if ck[k] < 0 {
+			nrm = -nrm
+		}
+		for i := k; i < hi; i++ {
+			ck[i] /= nrm
+		}
+		ck[k]++
+		dk := ck[k]
+		for j := k + 1; j < n; j++ {
+			cj := buf[j*m : (j+1)*m]
+			var s float64
+			for i := k; i < hi; i++ {
+				s += ck[i] * cj[i]
+			}
+			s = -s / dk
+			for i := k; i < hi; i++ {
+				cj[i] += s * ck[i]
+			}
+		}
+		rd[k] = -nrm
+	}
+}
+
+// refSolveInto is the oracle's solve: Qᵀb by explicit index loops, then
+// back-substitution.
+func refSolveInto(q *QR, b, y, x []float64) error {
+	if !q.FullRank() {
+		return ErrSingular
+	}
+	copy(y, b)
+	for k := 0; k < q.n; k++ {
+		ck := q.a[k*q.m : (k+1)*q.m]
+		if ck[k] == 0 {
+			continue
+		}
+		hi := q.band + k + 1
+		if hi > q.m {
+			hi = q.m
+		}
+		var s float64
+		for i := k; i < hi; i++ {
+			s += ck[i] * y[i]
+		}
+		s = -s / ck[k]
+		for i := k; i < hi; i++ {
+			y[i] += s * ck[i]
+		}
+	}
+	for k := q.n - 1; k >= 0; k-- {
+		s := y[k]
+		for j := k + 1; j < q.n; j++ {
+			s -= q.a[j*q.m+k] * x[j]
+		}
+		x[k] = s / q.rd[k]
+	}
+	return nil
+}
+
+// oracleSolve factors the column-major ld×n system slab (rows past m hold
+// the ridge tail) with the oracle and solves it for b.
+func oracleSolve(slab []float64, m, n, ld int, b []float64) (*QR, []float64, error) {
+	q := &QR{a: append([]float64(nil), slab...), rd: make([]float64, n), m: ld, n: n, band: m}
+	refFactor(q)
+	y := make([]float64, ld)
+	copy(y, b)
+	x := make([]float64, n)
+	if err := refSolveInto(q, y, y, x); err != nil {
+		return q, nil, err
+	}
+	return q, x, nil
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// kernelCase is one system of the oracle test.
+type kernelCase struct {
+	name   string
+	a      *Matrix
+	b      []float64
+	lambda float64
+}
+
+func kernelCases() []kernelCase {
+	rng := rand.New(rand.NewSource(13))
+	random := func(m, n int) (*Matrix, []float64) {
+		a := NewMatrix(m, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+		}
+		b := make([]float64, m)
+		for i := range b {
+			b[i] = rng.NormFloat64() * 100
+		}
+		return a, b
+	}
+	var cases []kernelCase
+	// Every n mod 4 tail of the four-column blocks, plus the QRSM basis size
+	// of the nine job features (55).
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 55} {
+		for _, m := range []int{n, 2*n + 3} {
+			for _, lambda := range []float64{0, 1e-6, 0.5} {
+				a, b := random(m, n)
+				cases = append(cases, kernelCase{fmt.Sprintf("random-%dx%d-l%g", m, n, lambda), a, b, lambda})
+			}
+		}
+	}
+	// A zero column takes the nrm == 0 path in the dense factorization
+	// (and makes the plain system singular).
+	for _, lambda := range []float64{0, 1e-6} {
+		a, b := random(23, 9)
+		for i := 0; i < a.Rows; i++ {
+			a.Set(i, 4, 0)
+		}
+		cases = append(cases, kernelCase{fmt.Sprintf("zero-col-l%g", lambda), a, b, lambda})
+	}
+	// All-negative entries force a negative pivot at every early column.
+	for _, lambda := range []float64{0, 1e-6} {
+		a, b := random(40, 7)
+		for i := range a.Data {
+			a.Data[i] = -math.Abs(a.Data[i]) - 1
+		}
+		cases = append(cases, kernelCase{fmt.Sprintf("negative-l%g", lambda), a, b, lambda})
+	}
+	return cases
+}
+
+// TestKernelMatchesOracle pins the factorization arithmetic: the blocked
+// kernel, reached through every entry point, must produce the oracle's
+// packed factors, R diagonal and solution to the bit.
+func TestKernelMatchesOracle(t *testing.T) {
+	var negPivots, zeroPivots int
+	for _, c := range kernelCases() {
+		m, n := c.a.Rows, c.a.Cols
+		var ws Workspace
+		slab, ld := ws.Design(m, n, c.lambda)
+		transposeInto(slab, c.a, ld)
+		ref, wantX, wantErr := oracleSolve(slab, m, n, ld, c.b)
+
+		gotX, gotErr := ws.Solve(c.b)
+		if !sameBits(ws.qr.a, ref.a) || !sameBits(ws.qr.rd, ref.rd) {
+			t.Errorf("%s: workspace factors differ from the oracle", c.name)
+		}
+		if gotErr != wantErr || !sameBits(gotX, wantX) {
+			t.Errorf("%s: workspace solution %v (%v), oracle %v (%v)", c.name, gotX, gotErr, wantX, wantErr)
+		}
+		for _, d := range ref.rd {
+			if d > 0 {
+				negPivots++ // rd[k] = -nrm, with nrm negated for a negative pivot
+			}
+			if d == 0 {
+				zeroPivots++
+			}
+		}
+
+		x, err := RidgeLeastSquares(c.a, c.b, c.lambda)
+		if err != wantErr || !sameBits(x, wantX) {
+			t.Errorf("%s: RidgeLeastSquares %v (%v), oracle %v (%v)", c.name, x, err, wantX, wantErr)
+		}
+		if c.lambda != 0 {
+			continue
+		}
+		q := NewQR(c.a)
+		if !sameBits(q.a, ref.a) || !sameBits(q.rd, ref.rd) {
+			t.Errorf("%s: NewQR factors differ from the oracle", c.name)
+		}
+		if x, err := q.Solve(c.b); err != wantErr || !sameBits(x, wantX) {
+			t.Errorf("%s: QR.Solve %v (%v), oracle %v (%v)", c.name, x, err, wantX, wantErr)
+		}
+		if x, err := LeastSquares(c.a, c.b); err != wantErr || !sameBits(x, wantX) {
+			t.Errorf("%s: LeastSquares %v (%v), oracle %v (%v)", c.name, x, err, wantX, wantErr)
+		}
+	}
+	if negPivots == 0 || zeroPivots == 0 {
+		t.Fatalf("cases reached %d negative and %d zero pivots; want both paths", negPivots, zeroPivots)
+	}
+}
+
+// TestWorkspaceReuseBitIdentical solves a sequence of differently shaped
+// systems through one workspace: stale slab contents from larger systems
+// must not leak into smaller ones.
+func TestWorkspaceReuseBitIdentical(t *testing.T) {
+	var ws Workspace
+	cases := kernelCases()
+	for i := len(cases) - 1; i >= 0; i-- {
+		c := cases[i]
+		slab, ld := ws.Design(c.a.Rows, c.a.Cols, c.lambda)
+		transposeInto(slab, c.a, ld)
+		x, err := ws.Solve(c.b)
+		want, wantErr := RidgeLeastSquares(c.a, c.b, c.lambda)
+		if err != wantErr || !sameBits(x, want) {
+			t.Errorf("%s: reused workspace %v (%v), fresh %v (%v)", c.name, x, err, want, wantErr)
+		}
+	}
+}
+
+// TestWorkspaceGrowthAmortized grows a system by 25 rows per solve, as a
+// model refitting a lengthening window does: the slab must reallocate
+// O(log n) times, not on every solve.
+func TestWorkspaceGrowthAmortized(t *testing.T) {
+	var ws Workspace
+	const p = 55
+	grows, lastCap := 0, 0
+	for m := p; m <= 2000; m += 25 {
+		ws.Design(m, p, 1e-6)
+		if c := cap(ws.qr.a); c != lastCap {
+			grows++
+			lastCap = c
+		}
+	}
+	if limit := bits.Len(2000); grows > limit {
+		t.Fatalf("slab reallocated %d times over 78 growing solves, want <= %d", grows, limit)
+	}
+}
+
+func TestWorkspaceRHSLengthPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("short rhs did not panic")
+		}
+	}()
+	var ws Workspace
+	ws.Design(4, 2, 1e-6)
+	ws.Solve([]float64{1, 2, 3})
 }

@@ -74,7 +74,6 @@ type Model struct {
 	// by design (Observe already mutates shared state), so this is safe.
 	zbuf []float64 // standardized features
 	bbuf []float64 // expanded basis row
-	abuf []float64 // row-major design matrix backing
 	ws   linalg.Workspace
 }
 
@@ -271,16 +270,43 @@ func (m *Model) fit(n int) error {
 			m.scale[j] = 1 // constant feature: center only
 		}
 	}
-	z, _ := m.scratch()
-	if cap(m.abuf) < n*p {
-		m.abuf = make([]float64, n*p)
+	// Assemble the design matrix column by column, straight into the
+	// workspace's column-major slab: each standardized feature column, then
+	// each basis column as an elementwise product, in basisInto's order.
+	// Every entry is the value basisInto computes for that row, so the
+	// system is the same as a row-by-row expansion.
+	dim := m.dim
+	slab, ld := m.ws.Design(n, p, m.lambda)
+	col := func(k int) []float64 { return slab[k*ld:][:n] }
+	ones := col(0)
+	for i := range ones {
+		ones[i] = 1
 	}
-	a := &linalg.Matrix{Rows: n, Cols: p, Data: m.abuf[:n*p]}
-	for i := 0; i < n; i++ {
-		m.standardizeInto(m.sample(i), z)
-		basisInto(z, a.Data[i*p:(i+1)*p])
+	for j := 0; j < dim; j++ {
+		zj, mean, scale := col(1+j), m.mean[j], m.scale[j]
+		for i := range zj {
+			zj[i] = (m.xd[i*dim+j] - mean) / scale
+		}
 	}
-	coef, err := m.ws.RidgeLeastSquares(a, m.ys[:n], m.lambda)
+	k := 1 + dim
+	for a := 0; a < dim; a++ {
+		za := col(1 + a)
+		for b := a + 1; b < dim; b++ {
+			zb, c := col(1+b), col(k)
+			for i := range c {
+				c[i] = za[i] * zb[i]
+			}
+			k++
+		}
+	}
+	for a := 0; a < dim; a++ {
+		za, c := col(1+a), col(k)
+		for i := range c {
+			c[i] = za[i] * za[i]
+		}
+		k++
+	}
+	coef, err := m.ws.Solve(m.ys[:n])
 	if err != nil {
 		return fmt.Errorf("qrsm: fit failed: %w", err)
 	}
