@@ -251,6 +251,22 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
+// drawSink keeps BenchmarkNewRNG's draws from being optimized away.
+var drawSink float64
+
+// BenchmarkNewRNG seeds a generator and takes 32 draws, about what each of
+// a sweep cell's short-lived generators draws.
+func BenchmarkNewRNG(b *testing.B) {
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		g := stats.NewRNG(int64(i))
+		for k := 0; k < 32; k++ {
+			sum += g.Float64()
+		}
+	}
+	drawSink = sum
+}
+
 func BenchmarkOOMetric(b *testing.B) {
 	r, err := Run(Options{Scheduler: Greedy, WorkloadSeed: benchSeed, NetSeed: benchSeed})
 	if err != nil {

@@ -12,16 +12,23 @@ import (
 	"math/rand"
 )
 
-// RNG wraps math/rand with the distributions needed by the workload and
-// network models. It is not safe for concurrent use; give each replication
-// its own RNG.
+// RNG draws the distributions needed by the workload and network models
+// from an in-package copy of math/rand's default source that seeds in O(1).
+// The stream for a seed is bit-identical to rand.New(rand.NewSource(seed)),
+// and every method draws through *rand.Rand, so every variate matches
+// math/rand's too. It is not safe for concurrent use; give each
+// replication its own RNG.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src source
 }
 
 // NewRNG returns a generator seeded deterministically.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Float64 returns a uniform variate in [0,1).
