@@ -6,6 +6,7 @@ import (
 
 	"cloudburst/internal/qrsm"
 	"cloudburst/internal/sim"
+	"cloudburst/internal/stats"
 	"cloudburst/internal/workload"
 )
 
@@ -26,7 +27,13 @@ import (
 //     contents never leak into a new run);
 //   - bootstrapped estimators are cloned from a shared materialized
 //     prototype instead of re-observing and re-factorizing the bootstrap
-//     set.
+//     set;
+//   - the run's generators go back to stats.NewRNG's free list when the
+//     run ends. The arena owns every generator that lives as long as the
+//     run: each link's jitter RNG and its outage RNG (main and per-site
+//     links), each transfer queue's stall RNG, and the IC and EC fault
+//     injectors' RNGs. build and buildFaults release their parent RNGs
+//     themselves, right after the last Fork.
 //
 // Safety: arenas are returned to the pool only by runs that completed
 // cleanly, after every component is scrubbed (see Engine.release). Error
@@ -52,6 +59,10 @@ type arena struct {
 	slot    int
 
 	est *qrsm.Estimator // clone target for the bootstrap prototype
+
+	// rngs are the run-lifetime generators listed above, released and
+	// cleared at release. A parked arena holds none.
+	rngs []*stats.RNG
 }
 
 const jobStatePageSize = 256
@@ -156,6 +167,12 @@ func (e *Engine) release() {
 	clear(a.estCache)
 	a.estCache = a.estCache[:0]
 	a.pageIdx, a.slot = 0, 0
+	// The event heap is reset, so no component of this run draws again.
+	for _, g := range a.rngs {
+		g.Release()
+	}
+	clear(a.rngs)
+	a.rngs = a.rngs[:0]
 	arenaPool.Put(a)
 }
 

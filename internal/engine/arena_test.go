@@ -170,3 +170,26 @@ func TestDirtyArenaCaughtByInvariantChecker(t *testing.T) {
 		t.Error("checker missed the real job abandoned by the early-terminating run")
 	}
 }
+
+// TestGrowTableGeometric pins the dense tables' growth: a streaming run's
+// IDs climb without bound, and growing by a fixed step would copy the
+// table once per step, O(n²) bytes in all.
+func TestGrowTableGeometric(t *testing.T) {
+	var tb []int
+	grows := 0
+	for id := 0; id < 1<<17; id++ {
+		if id >= len(tb) {
+			tb = growTable(tb, id)
+			grows++
+		}
+		tb[id] = id
+	}
+	if grows > 12 {
+		t.Fatalf("table grew %d times for %d IDs, want at most 12", grows, len(tb))
+	}
+	for id := range 1 << 17 {
+		if tb[id] != id {
+			t.Fatalf("entry %d = %d after growth", id, tb[id])
+		}
+	}
+}

@@ -491,9 +491,7 @@ func (e *Engine) estimateJob(j *job.Job) float64 {
 	v := e.estimator.Estimate(j.Features)
 	if id >= 0 {
 		if id >= len(e.estCache) {
-			grown := make([]estEntry, id+1+64)
-			copy(grown, e.estCache)
-			e.estCache = grown
+			e.estCache = growTable(e.estCache, id)
 		}
 		e.estCache[id] = estEntry{ver: ver, val: v}
 	}
@@ -516,9 +514,17 @@ func (e *Engine) setState(id int, js *jobState) {
 		panic(fmt.Sprintf("engine: job ID %d negative", id))
 	}
 	if id >= len(e.states) {
-		grown := make([]*jobState, id+1+64)
-		copy(grown, e.states)
-		e.states = grown
+		e.states = growTable(e.states, id)
 	}
 	e.states[id] = js
+}
+
+// growTable returns t grown to cover index id: at least doubled, so a
+// streaming run whose IDs climb without bound copies each entry O(1) times
+// instead of once per 64 new IDs. The whole new table is within its
+// length, so release's scrub of [0:len) still leaves it all zero.
+func growTable[T any](t []T, id int) []T {
+	grown := make([]T, max(id+1+64, 2*len(t)))
+	copy(grown, t)
+	return grown
 }

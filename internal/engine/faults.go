@@ -113,7 +113,7 @@ func (e *Engine) buildFaults() {
 		return
 	}
 	rng := stats.NewRNG(f.Seed + 11)
-	icRNG, ecRNG := rng.Fork(), rng.Fork()
+	icRNG, ecRNG := e.ownRNG(rng.Fork()), e.ownRNG(rng.Fork())
 	if f.ICCrash.Enabled() {
 		e.icFaults = cluster.NewFaultInjector(e.eng, e.ic, f.ICCrash, icRNG)
 		e.icFaults.OnFail = e.onICFail
@@ -134,14 +134,15 @@ func (e *Engine) buildFaults() {
 	}
 	if f.TransferStalls.Enabled() {
 		for _, q := range e.upQ.Queues() {
-			q.EnableStalls(f.TransferStalls, rng.Fork())
+			q.EnableStalls(f.TransferStalls, e.ownRNG(rng.Fork()))
 			q.OnStall = e.onTransferStall("upload", phaseUpload)
 			q.OnAbort = e.onTransferAbort("upload", phaseUpload)
 		}
-		e.downQ.EnableStalls(f.TransferStalls, rng.Fork())
+		e.downQ.EnableStalls(f.TransferStalls, e.ownRNG(rng.Fork()))
 		e.downQ.OnStall = e.onTransferStall("download", phaseDownload)
 		e.downQ.OnAbort = e.onTransferAbort("download", phaseDownload)
 	}
+	rng.Release()
 }
 
 // onICFail handles an internal machine crash: the aborted task (if any) is

@@ -190,7 +190,7 @@ func (e *Engine) build() {
 	e.ec = cluster.Uniform(e.eng, "ec", cfg.ECMachines, cfg.ECSpeed)
 	e.attachClusterTrace(e.ic)
 	e.attachClusterTrace(e.ec)
-	e.uplink = netsim.NewLink(e.eng, netsim.LinkConfig{
+	e.uplink = e.newLink(netsim.LinkConfig{
 		Name:           "uplink",
 		Profile:        cfg.UploadProfile,
 		JitterCV:       cfg.JitterCV,
@@ -199,7 +199,7 @@ func (e *Engine) build() {
 		Outages:        cfg.Outages,
 		OnOutage:       e.outageTrace("uplink"),
 	}, netRNG.Fork())
-	e.downlink = netsim.NewLink(e.eng, netsim.LinkConfig{
+	e.downlink = e.newLink(netsim.LinkConfig{
 		Name:           "downlink",
 		Profile:        cfg.DownloadProfile,
 		JitterCV:       cfg.JitterCV,
@@ -238,6 +238,7 @@ func (e *Engine) build() {
 	}
 
 	e.buildSites(netRNG)
+	netRNG.Release()
 
 	e.estimator = e.buildEstimator()
 
@@ -254,6 +255,25 @@ func (e *Engine) build() {
 	}
 
 	e.meter = newMeter(cfg)
+}
+
+// newLink attaches a link whose generators live as long as the run: the
+// arena, if any, releases them with the run (see arena.rngs).
+func (e *Engine) newLink(cfg netsim.LinkConfig, rng *stats.RNG) *netsim.Link {
+	l := netsim.NewLink(e.eng, cfg, rng)
+	if e.arena != nil {
+		e.arena.rngs = l.AppendRNGs(e.arena.rngs)
+	}
+	return l
+}
+
+// ownRNG parks a generator that lives as long as the run in the arena,
+// which releases it with the run (see arena.rngs).
+func (e *Engine) ownRNG(g *stats.RNG) *stats.RNG {
+	if e.arena != nil {
+		e.arena.rngs = append(e.arena.rngs, g)
+	}
+	return g
 }
 
 // state snapshots the observable system for the scheduler.
@@ -627,12 +647,7 @@ func (e *Engine) result(batches []workload.Batch) *Result {
 // totals — the streaming drive loop tallies them batch by batch as the
 // source feeds, where no finite batch slice ever exists.
 func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
-	end := 0.0
-	for _, r := range e.records.Records() {
-		if r.CompletedAt > end {
-			end = r.CompletedAt
-		}
-	}
+	end := e.records.LastCompletion()
 	r := &Result{
 		Scheduler:             e.sched.Name(),
 		Records:               e.records,

@@ -64,7 +64,7 @@ func (e *Engine) buildSites(netRNG *stats.RNG) {
 		s := &ecSite{cfg: rc}
 		s.cluster = cluster.Uniform(e.eng, fmt.Sprintf("ec%d", i+1), rc.Machines, rc.Speed)
 		e.attachClusterTrace(s.cluster)
-		s.uplink = netsim.NewLink(e.eng, netsim.LinkConfig{
+		s.uplink = e.newLink(netsim.LinkConfig{
 			Name:           fmt.Sprintf("uplink%d", i+1),
 			Profile:        rc.UploadProfile,
 			JitterCV:       rc.JitterCV,
@@ -73,7 +73,7 @@ func (e *Engine) buildSites(netRNG *stats.RNG) {
 			Outages:        e.cfg.Outages,
 			OnOutage:       e.outageTrace(fmt.Sprintf("uplink%d", i+1)),
 		}, netRNG.Fork())
-		s.downlink = netsim.NewLink(e.eng, netsim.LinkConfig{
+		s.downlink = e.newLink(netsim.LinkConfig{
 			Name:           fmt.Sprintf("downlink%d", i+1),
 			Profile:        rc.DownloadProfile,
 			JitterCV:       rc.JitterCV,

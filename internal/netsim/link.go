@@ -88,8 +88,12 @@ type Link struct {
 	eng      *sim.Engine
 	profile  *Profile
 	jitterCV float64
-	rng      *stats.RNG
-	threads  ThreadModel
+	// jitterMu and jitterSigma parameterize the normal under the mean-1
+	// lognormal jitter, computed once instead of per draw.
+	jitterMu    float64
+	jitterSigma float64
+	rng         *stats.RNG
+	threads     ThreadModel
 
 	jitter         float64
 	resamplePeriod float64
@@ -148,6 +152,9 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, rng *stats.RNG) *Link {
 		lastAdvance:    eng.Now(),
 		createdAt:      eng.Now(),
 	}
+	if l.jitterCV > 0 {
+		l.jitterMu, l.jitterSigma = stats.LogNormalParams(1, l.jitterCV)
+	}
 	l.changeCb = func(now float64, _ any) {
 		l.changeTm = sim.Timer{}
 		l.advance()
@@ -182,7 +189,18 @@ func (l *Link) resampleJitter() {
 		l.jitter = 1
 		return
 	}
-	l.jitter = l.rng.LogNormalMeanCV(1, l.jitterCV)
+	l.jitter = l.rng.LogNormal(l.jitterMu, l.jitterSigma)
+}
+
+// AppendRNGs appends the generators the link draws from to dst: its jitter
+// RNG and, with an outage model, the outage RNG forked from it. An owner
+// that knows the link will never run again may release them.
+func (l *Link) AppendRNGs(dst []*stats.RNG) []*stats.RNG {
+	dst = append(dst, l.rng)
+	if l.outage != nil {
+		dst = append(dst, l.outage.rng)
+	}
+	return dst
 }
 
 // ThreadModel returns the link's thread model.

@@ -13,9 +13,9 @@ import (
 // estimate and finally to a configured prior. It never reads the true
 // profile — everything it knows arrives through Observe.
 type Predictor struct {
-	slots   []*stats.EWMA
+	slots   []stats.EWMA
 	slotDur float64
-	global  *stats.EWMA
+	global  stats.EWMA
 	prior   float64
 }
 
@@ -29,13 +29,13 @@ func NewPredictor(numSlots int, alpha, prior float64) *Predictor {
 		panic(fmt.Sprintf("netsim: predictor prior %v must be positive", prior))
 	}
 	p := &Predictor{
-		slots:   make([]*stats.EWMA, numSlots),
+		slots:   make([]stats.EWMA, numSlots),
 		slotDur: Day / float64(numSlots),
-		global:  stats.NewEWMA(alpha),
+		global:  *stats.NewEWMA(alpha),
 		prior:   prior,
 	}
 	for i := range p.slots {
-		p.slots[i] = stats.NewEWMA(alpha)
+		p.slots[i] = p.global
 	}
 	return p
 }
@@ -65,7 +65,7 @@ func (p *Predictor) Observe(t, bw float64) {
 
 // Predict returns the estimated bandwidth at virtual time t.
 func (p *Predictor) Predict(t float64) float64 {
-	if s := p.slots[p.slotIndex(t)]; s.N() > 0 {
+	if s := &p.slots[p.slotIndex(t)]; s.N() > 0 {
 		return s.Value()
 	}
 	if p.global.N() > 0 {
@@ -81,8 +81,8 @@ func (p *Predictor) Observations() int { return p.global.N() }
 // never-observed slots), for Fig. 4(a)-style reporting.
 func (p *Predictor) SlotEstimates() []float64 {
 	out := make([]float64, len(p.slots))
-	for i, s := range p.slots {
-		out[i] = s.Value()
+	for i := range p.slots {
+		out[i] = p.slots[i].Value()
 	}
 	return out
 }

@@ -67,11 +67,34 @@ func (p *Profile) SlotIndex(t float64) int {
 	if t < 0 {
 		t = math.Mod(t, Day) + Day
 	}
-	i := int(math.Mod(t, Day) / p.SlotDur)
+	i := int(dayRem(t) / p.SlotDur)
 	if i >= len(p.Slots) {
 		i = len(p.Slots) - 1
 	}
 	return i
+}
+
+// dayRem returns math.Mod(t, Day) for t ≥ 0, bit for bit, without fmod's
+// bit-by-bit long division. Below 2⁵³ the product k·Day is exact, and so is
+// t − k·Day for k ≥ 1: the difference of two floats within a factor of two
+// of each other (Sterbenz). k = ⌊t/Day⌋ rounded may be off by one, which
+// one exact ±Day step corrects. Larger or non-finite t falls back to
+// math.Mod.
+func dayRem(t float64) float64 {
+	if t < Day {
+		return t
+	}
+	if !(t < 1<<53) {
+		return math.Mod(t, Day)
+	}
+	k := math.Floor(t / Day)
+	r := t - k*Day
+	if r < 0 {
+		r += Day
+	} else if r >= Day {
+		r -= Day
+	}
+	return r
 }
 
 // MeanAt returns the profile's mean bandwidth at time t.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -51,8 +52,16 @@ func TestProfileSlotLookup(t *testing.T) {
 
 func TestProfileNegativeTime(t *testing.T) {
 	p := NewProfile([]float64{10, 20})
-	if got := p.MeanAt(-1); got != 20 { // wraps to end of previous day
-		t.Fatalf("MeanAt(-1) = %v, want 20", got)
+	for _, c := range []struct{ t, want float64 }{
+		{-1, 20}, // wraps to end of previous day
+		{-Day, 10},
+		{-Day - 1, 20},
+		{-3.25 * Day, 20},
+		{-2.75 * Day, 10},
+	} {
+		if got := p.MeanAt(c.t); got != c.want {
+			t.Fatalf("MeanAt(%v) = %v, want %v", c.t, got, c.want)
+		}
 	}
 }
 
@@ -208,5 +217,42 @@ func TestTunerClamps(t *testing.T) {
 	}
 	if tu2.String() == "" {
 		t.Fatal("String empty")
+	}
+}
+
+// TestDayRemMatchesMod pins dayRem to math.Mod bit for bit: on random t of
+// every magnitude, and one ulp either side of every day boundary up to day
+// 400, where ⌊t/Day⌋ is most likely to round the wrong way.
+func TestDayRemMatchesMod(t *testing.T) {
+	check := func(x float64) {
+		if got, want := dayRem(x), math.Mod(x, Day); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dayRem(%v) = %v, math.Mod %v", x, got, want)
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, Day,
+		1 << 53, math.Nextafter(1<<53, 0), math.MaxFloat64, math.Inf(1), math.NaN()} {
+		if got, want := dayRem(x), math.Mod(x, Day); math.Float64bits(got) != math.Float64bits(want) &&
+			!(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("dayRem(%v) = %v, math.Mod %v", x, got, want)
+		}
+	}
+	for k := 0; k <= 400; k++ {
+		b := float64(k) * Day
+		check(b)
+		check(math.Nextafter(b, math.Inf(1)))
+		if k > 0 {
+			check(math.Nextafter(b, 0))
+		}
+	}
+	rng := rand.New(rand.NewSource(86400))
+	for i := 0; i < 1_000_000; i++ {
+		switch i % 3 {
+		case 0: // simulated horizons: up to 400 days
+			check(rng.Float64() * 400 * Day)
+		case 1: // whole and half seconds, where exact multiples of Day occur
+			check(float64(rng.Int63n(400*Day*2)) / 2)
+		default: // any magnitude up to 2⁶⁰
+			check(math.Ldexp(1+rng.Float64(), rng.Intn(61)))
+		}
 	}
 }

@@ -72,18 +72,8 @@ func (s *Set) OOSeries(interval float64, tol int, name string) *stats.TimeSeries
 // (valley) means the output was ready early. This is the quantity plotted
 // per job in the paper's Figs. 7–8.
 func (s *Set) InOrderWaitSeries(name string) *stats.TimeSeries {
-	recs := s.sortedRecords()
 	ts := &stats.TimeSeries{Name: name}
-	if len(recs) == 0 {
-		return ts
-	}
-	maxSoFar := recs[0].CompletedAt
-	for i := 1; i < len(recs); i++ {
-		ts.Append(float64(recs[i].Seq), recs[i].CompletedAt-maxSoFar)
-		if recs[i].CompletedAt > maxSoFar {
-			maxSoFar = recs[i].CompletedAt
-		}
-	}
+	s.inOrderWaits(func(seq int, w float64) { ts.Append(float64(seq), w) })
 	return ts
 }
 
@@ -101,16 +91,15 @@ func (s *Set) CompletionSeries(name string) *stats.TimeSeries {
 // total stall seconds. The paper reads Figs. 7–8 through exactly this lens —
 // "more the number of high peaks, more is the wait period".
 func (s *Set) PeakStats() (count int, totalWait float64, maxPeak float64) {
-	ws := s.InOrderWaitSeries("w")
-	for _, p := range ws.Points {
-		if p.V > 0 {
+	s.inOrderWaits(func(_ int, w float64) {
+		if w > 0 {
 			count++
-			totalWait += p.V
-			if p.V > maxPeak {
-				maxPeak = p.V
+			totalWait += w
+			if w > maxPeak {
+				maxPeak = w
 			}
 		}
-	}
+	})
 	return count, totalWait, maxPeak
 }
 
@@ -118,12 +107,29 @@ func (s *Set) PeakStats() (count int, totalWait float64, maxPeak float64) {
 // before needed).
 func (s *Set) ValleyCount() int {
 	n := 0
-	for _, p := range s.InOrderWaitSeries("w").Points {
-		if p.V < 0 {
+	s.inOrderWaits(func(_ int, w float64) {
+		if w < 0 {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// inOrderWaits walks the records in Seq order and calls fn with each
+// position i ≥ 1 and its in-order wait (see InOrderWaitSeries). It builds
+// nothing, so the summaries above allocate nothing.
+func (s *Set) inOrderWaits(fn func(seq int, w float64)) {
+	recs := s.sortedRecords()
+	if len(recs) == 0 {
+		return
+	}
+	maxSoFar := recs[0].CompletedAt
+	for i := 1; i < len(recs); i++ {
+		fn(recs[i].Seq, recs[i].CompletedAt-maxSoFar)
+		if recs[i].CompletedAt > maxSoFar {
+			maxSoFar = recs[i].CompletedAt
+		}
+	}
 }
 
 // OrderedFractionAt returns the fraction of total output bytes consumable

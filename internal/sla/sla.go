@@ -148,6 +148,9 @@ func (s *Set) Records() []Record {
 	return append([]Record(nil), s.sortedRecords()...)
 }
 
+// LastCompletion returns the latest CompletedAt, or 0 for an empty set.
+func (s *Set) LastCompletion() float64 { return s.maxDone }
+
 // Makespan is eq. (7): the latest completion minus the earliest arrival.
 func (s *Set) Makespan() float64 {
 	if len(s.records) == 0 {

@@ -3,7 +3,10 @@ package sla
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
+
+	"cloudburst/internal/stats"
 )
 
 // rec builds a record quickly: seq, arrival, completed, output bytes, where.
@@ -423,5 +426,101 @@ func TestOOAtAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("OOAt allocates %v objects per call after warm-up, want 0", allocs)
+	}
+}
+
+// oracleWaitSeries, oraclePeakStats and oracleValleyCount are the
+// series-based implementations PeakStats and ValleyCount replaced, kept to
+// pin the allocation-free walk to them bit for bit.
+func oracleWaitSeries(s *Set) *stats.TimeSeries {
+	recs := s.Records()
+	ts := &stats.TimeSeries{Name: "w"}
+	if len(recs) == 0 {
+		return ts
+	}
+	maxSoFar := recs[0].CompletedAt
+	for i := 1; i < len(recs); i++ {
+		ts.Append(float64(recs[i].Seq), recs[i].CompletedAt-maxSoFar)
+		if recs[i].CompletedAt > maxSoFar {
+			maxSoFar = recs[i].CompletedAt
+		}
+	}
+	return ts
+}
+
+func oraclePeakStats(s *Set) (count int, totalWait float64, maxPeak float64) {
+	for _, p := range oracleWaitSeries(s).Points {
+		if p.V > 0 {
+			count++
+			totalWait += p.V
+			if p.V > maxPeak {
+				maxPeak = p.V
+			}
+		}
+	}
+	return count, totalWait, maxPeak
+}
+
+func oracleValleyCount(s *Set) int {
+	n := 0
+	for _, p := range oracleWaitSeries(s).Points {
+		if p.V < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPeakStatsMatchSeriesOracle draws record sets of every size from 0 to
+// 200, inserted out of order, with completion times that are sometimes
+// tied, and requires the summaries and the wait series to match the
+// oracles bit for bit. Once the sorted view is cached, the summaries must
+// not allocate.
+func TestPeakStatsMatchSeriesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	bits := math.Float64bits
+	for n := 0; n <= 200; n++ {
+		s := NewSet()
+		for _, seq := range rng.Perm(n) {
+			arr := rng.Float64() * 1000
+			done := arr + rng.ExpFloat64()*300
+			if rng.Intn(4) == 0 {
+				done = math.Ceil(done/50) * 50 // ties
+			}
+			s.MustAdd(rec(seq, arr, done, 1, IC))
+		}
+		c, tw, mp := s.PeakStats()
+		oc, otw, omp := oraclePeakStats(s)
+		if c != oc || bits(tw) != bits(otw) || bits(mp) != bits(omp) {
+			t.Fatalf("n=%d: PeakStats = %d,%v,%v, oracle %d,%v,%v", n, c, tw, mp, oc, otw, omp)
+		}
+		if v, ov := s.ValleyCount(), oracleValleyCount(s); v != ov {
+			t.Fatalf("n=%d: ValleyCount = %d, oracle %d", n, v, ov)
+		}
+		got, want := s.InOrderWaitSeries("w").Points, oracleWaitSeries(s).Points
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: wait series has %d points, oracle %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if bits(got[i].T) != bits(want[i].T) || bits(got[i].V) != bits(want[i].V) {
+				t.Fatalf("n=%d: wait point %d = %v, oracle %v", n, i, got[i], want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { s.PeakStats(); s.ValleyCount() }); allocs != 0 {
+			t.Fatalf("n=%d: PeakStats+ValleyCount made %v allocations, want 0", n, allocs)
+		}
+	}
+}
+
+func TestLastCompletion(t *testing.T) {
+	s := NewSet()
+	if s.LastCompletion() != 0 {
+		t.Fatal("empty set should report 0")
+	}
+	s.MustAdd(rec(1, 0, 70, 1, IC))
+	s.MustAdd(rec(0, 0, 90, 1, EC))
+	s.MustAdd(rec(2, 0, 80, 1, IC))
+	if s.LastCompletion() != 90 {
+		t.Fatalf("LastCompletion = %v, want 90", s.LastCompletion())
 	}
 }

@@ -10,6 +10,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // RNG draws the distributions needed by the workload and network models
@@ -19,16 +20,46 @@ import (
 // math/rand's too. It is not safe for concurrent use; give each
 // replication its own RNG.
 type RNG struct {
-	r   *rand.Rand
-	src source
+	r        *rand.Rand
+	src      source
+	released bool
 }
 
-// NewRNG returns a generator seeded deterministically.
-func NewRNG(seed int64) *RNG {
-	g := &RNG{}
-	g.src.Seed(seed)
+// rngPool is the free list behind NewRNG and Release. A generator's 607-word
+// state is 4.9 KB that Go would otherwise zero on every allocation, and a
+// short run builds several generators only to draw a few numbers from each.
+var rngPool = sync.Pool{New: func() any {
+	g := new(RNG)
 	g.r = rand.New(&g.src)
 	return g
+}}
+
+// NewRNG returns a generator seeded deterministically. It may reuse a
+// released generator: the re-seed rebuilds the whole stream, so the result
+// is indistinguishable from a fresh one.
+func NewRNG(seed int64) *RNG {
+	g := rngPool.Get().(*RNG)
+	g.reseed(seed)
+	return g
+}
+
+// reseed restarts g's stream at seed. rand.Rand.Seed re-seeds the source,
+// which marks every state word stale, and drops any bytes Read buffered.
+func (g *RNG) reseed(seed int64) {
+	g.released = false
+	g.r.Seed(seed)
+}
+
+// Release hands g back to NewRNG's free list. Call it only where g's life
+// provably ends: nothing may draw from or Fork g afterwards, since the next
+// NewRNG may return it re-seeded. A generator that is never released is
+// simply collected. Releasing g twice panics.
+func (g *RNG) Release() {
+	if g.released {
+		panic("stats: RNG released twice")
+	}
+	g.released = true
+	rngPool.Put(g)
 }
 
 // Float64 returns a uniform variate in [0,1).
@@ -137,9 +168,17 @@ func (g *RNG) LogNormalMeanCV(mean, cv float64) float64 {
 	if cv <= 0 {
 		return mean
 	}
+	return g.LogNormal(LogNormalParams(mean, cv))
+}
+
+// LogNormalParams returns the mean mu and standard deviation sigma of the
+// normal underlying a lognormal with the given mean and coefficient of
+// variation (both positive). A caller drawing many variates with fixed
+// parameters computes them once and calls LogNormal, with the same results
+// as LogNormalMeanCV.
+func LogNormalParams(mean, cv float64) (mu, sigma float64) {
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return g.LogNormal(mu, math.Sqrt(sigma2))
+	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)
 }
 
 // BoundedPareto returns a Pareto variate with shape alpha truncated to

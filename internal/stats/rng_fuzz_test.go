@@ -1,7 +1,8 @@
 package stats
 
 // Fuzz coverage for the O(1)-seeded source: for any seed and draw count,
-// NewRNG's stream must equal math/rand's rand.New(rand.NewSource(seed)).
+// NewRNG's stream must equal math/rand's rand.New(rand.NewSource(seed)),
+// also when NewRNG hands out a generator released after arbitrary use.
 
 import (
 	"math"
@@ -19,6 +20,14 @@ func FuzzRNGMatchesStdlib(f *testing.F) {
 	f.Add(int64(math.MaxInt64), uint16(math.MaxUint16))
 
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		// Dirty a generator with the same number of draws under another
+		// seed and release it, so the one compared below is recycled.
+		used := NewRNG(^seed)
+		for k := 0; k < int(draws); k++ {
+			used.r.Uint64()
+		}
+		used.Release()
+
 		got, want := NewRNG(seed).r, rand.New(rand.NewSource(seed))
 		for k := 1; k <= int(draws); k++ {
 			// Int63 and Uint64 have separate bodies, so draws alternate

@@ -141,11 +141,69 @@ func compareMethods(t *testing.T, seed int64, depth int, got, want *RNG) {
 	}
 }
 
+// TestRecycledRNGMatchesFresh dirties a generator with k draws and a
+// partial Read, releases it, and requires the generator NewRNG hands out
+// next to reproduce math/rand's stream for a new seed. The draw counts
+// straddle the last lazily materialized draw (334) and a full register
+// cycle (607), and the partial Read leaves bytes buffered in rand.Rand.
+func TestRecycledRNGMatchesFresh(t *testing.T) {
+	const first, second = 42, -987654321
+	for _, k := range []int{0, 1, rngLen - rngTap - 1, rngLen - rngTap, rngLen - rngTap + 1, 1300} {
+		g := NewRNG(first)
+		for i := 0; i < k; i++ {
+			g.Float64()
+		}
+		var buf [3]byte
+		g.r.Read(buf[:])
+		g.Release()
+
+		got := NewRNG(second)
+		if got != g {
+			// The free list may drop an item (the race detector does so
+			// on purpose); recycle g the way NewRNG would have.
+			got = g
+			got.reseed(second)
+		}
+		want := stdRNG(second)
+		var gb, wb [5]byte
+		got.r.Read(gb[:])
+		want.r.Read(wb[:])
+		if gb != wb {
+			t.Fatalf("k=%d: Read after recycling = %x, math/rand %x", k, gb, wb)
+		}
+		for depth := 0; depth < 3; depth++ {
+			compareMethods(t, second, depth, got, want)
+			got, want = got.Fork(), stdForkOf(want)
+		}
+	}
+}
+
 var rngSink *RNG
 
+// TestNewRNGAllocations pins both paths: a generator from the free list
+// costs nothing, and a cold one at most the RNG and its rand.Rand.
 func TestNewRNGAllocations(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() { rngSink = NewRNG(7) })
-	if allocs > 2 {
-		t.Fatalf("NewRNG made %v allocations, want at most 2", allocs)
+	NewRNG(7).Release()
+	warm := testing.AllocsPerRun(100, func() {
+		rngSink = NewRNG(7)
+		rngSink.Release()
+	})
+	if warm != 0 {
+		t.Fatalf("NewRNG on a warm free list made %v allocations, want 0", warm)
 	}
+	cold := testing.AllocsPerRun(100, func() { rngSink = NewRNG(7) })
+	if cold > 2 {
+		t.Fatalf("NewRNG made %v allocations, want at most 2", cold)
+	}
+}
+
+func TestRNGDoubleReleasePanics(t *testing.T) {
+	g := NewRNG(1)
+	g.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	g.Release()
 }

@@ -97,6 +97,7 @@ func BootstrapSet(seed int64, n int, noiseCV float64) ([]job.Features, []float64
 		fs[i] = SynthFeatures(rng, size)
 		ys[i] = truth.Sample(rng, fs[i])
 	}
+	rng.Release()
 	return fs, ys
 }
 

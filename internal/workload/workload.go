@@ -204,6 +204,7 @@ func (g *Generator) Generate() []Batch {
 	featRNG := rng.Fork()
 	noiseRNG := rng.Fork()
 	countRNG := rng.Fork()
+	rng.Release()
 
 	ids := job.NewCounter(0)
 	batches := make([]Batch, 0, g.cfg.Batches)
@@ -235,6 +236,10 @@ func (g *Generator) Generate() []Batch {
 		}
 		batches = append(batches, Batch{Index: b, At: at, Jobs: jobs})
 	}
+	sizeRNG.Release()
+	featRNG.Release()
+	noiseRNG.Release()
+	countRNG.Release()
 	return batches
 }
 
