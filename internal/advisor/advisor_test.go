@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cloudburst/internal/metrics"
 	"cloudburst/internal/sweep"
 )
 
@@ -78,7 +79,7 @@ func TestReadManifestErrors(t *testing.T) {
 }
 
 func TestAdviseICOnlyBaseline(t *testing.T) {
-	priced := sweep.Metrics{CostRental: 0.20, CostCommitted: 0.10}
+	priced := sweep.Metrics{Counters: metrics.Counters{CostRental: 0.20, CostCommitted: 0.10}}
 	advice := Advise([]Entry{
 		entry("ICOnly", "bucket=small", 600, sweep.Metrics{}),
 		entry("Op", "bucket=small", 420, priced),
@@ -138,7 +139,7 @@ func TestAdviseMeasuredBaselineNotEstimated(t *testing.T) {
 func TestAdviseNoGainStaysInternal(t *testing.T) {
 	advice := Advise([]Entry{
 		entry("ICOnly", "bucket=small", 400, sweep.Metrics{}),
-		entry("Op", "bucket=small", 400, sweep.Metrics{CostRental: 0.10}),
+		entry("Op", "bucket=small", 400, sweep.Metrics{Counters: metrics.Counters{CostRental: 0.10}}),
 	})
 	if len(advice) != 1 || advice[0].Burst {
 		t.Fatalf("advice = %+v", advice)
@@ -188,7 +189,7 @@ func TestAdviseSortedScenarioOrder(t *testing.T) {
 }
 
 func TestAdviseOverBudgetNotRecommended(t *testing.T) {
-	over := sweep.Metrics{CostBudget: 0.10, CostCommitted: 0.15, CostRental: 0.20}
+	over := sweep.Metrics{Counters: metrics.Counters{CostBudget: 0.10, CostCommitted: 0.15, CostRental: 0.20}}
 	advice := Advise([]Entry{
 		entry("ICOnly", "bucket=small", 600, sweep.Metrics{}),
 		entry("Op", "bucket=small", 420, over),

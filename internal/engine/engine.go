@@ -17,6 +17,7 @@ import (
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/cost"
 	"cloudburst/internal/job"
+	"cloudburst/internal/metrics"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/qrsm"
 	"cloudburst/internal/sched"
@@ -234,7 +235,6 @@ type Result struct {
 	UploadedBytes   int64
 	DownloadedBytes int64
 	ProbeCount      int
-	FinalThreads    int
 
 	// Multi-site diagnostics: bursts routed to each remote site and its
 	// utilization (primary-EC numbers are in BurstRatio/ECUtil).
@@ -255,34 +255,16 @@ type Result struct {
 	QRSMR2                float64
 	PredictorObservations int
 
-	// Fault/recovery accounting (all zero without fault injection).
+	// Fault-injection accounting (all zero without fault injection).
 	ECRevocations  int // EC machines permanently revoked
 	ICCrashes      int // IC machine failures injected
 	TransferStalls int // transfers frozen by stall injection
 	TransferAborts int // stalled transfers killed by the timeout
-	Retries        int // jobs re-admitted to the EC pipeline after a fault
-	Fallbacks      int // jobs that abandoned the EC for the IC
 
-	// Cost accounting (all zero without a cost model). CostRental is the
-	// billed rental total of every machine span (rounded up to billing
-	// intervals); CostCommitted the monotone prepaid burst spend, which a
-	// positive CostBudget bounds by gate construction.
-	CostRental    float64
-	CostCommitted float64
-	CostBudget    float64
-	// BudgetDenials counts jobs the budget gate kept on the IC against the
-	// scheduler's preference — the "budget-forced fallback" signal the
-	// frontier search bisects for.
-	BudgetDenials int
-
-	// Sharded-scheduling accounting (all zero on the monolithic path).
-	// Conflicts counts decisions that lost a commit phase (machine-claim
-	// collisions plus budget over-commits), Replacements the re-placement
-	// attempts those losses forced, and CommitRetries the extra placement
-	// rounds batches needed beyond their first.
-	Conflicts     int
-	Replacements  int
-	CommitRetries int
+	// Retry, cost, budget and shard counters, incremented by the engine
+	// as the run goes; the cost figures are filled from the meter at the
+	// end of the run.
+	metrics.Counters
 }
 
 // ErrTimeout is returned when a run exceeds Config.MaxVirtualTime,
@@ -414,21 +396,15 @@ type Engine struct {
 	ecFaults *cluster.FaultInjector
 	stalls   int
 	aborts   int
-	retries  int
-	fallbks  int
 
-	// budgetDenied counts jobs the cost model's admission gate forced onto
-	// the IC (the scheduler wanted to burst them, but the estimated charge
-	// would overrun the remaining budget).
-	budgetDenied int
+	// c holds the run counters Result reports (retries, fallbacks, budget
+	// denials, shard conflicts); the engine increments its fields in place.
+	c metrics.Counters
 
 	// Sharded placement path (nil coord on the monolithic path).
-	coord         *shard.Coordinator
-	epoch         int // monotone snapshot counter across all rounds
-	conflicts     int
-	replacements  int
-	commitRetries int
-	freeECBuf     []int
+	coord     *shard.Coordinator
+	epoch     int // monotone snapshot counter across all rounds
+	freeECBuf []int
 
 	// streaming marks an open-ended Serve run: jobs keep arriving for as
 	// long as the source feeds, so completed queue slots are released from

@@ -168,7 +168,7 @@ func (e *Engine) onICFail(at float64, m *cluster.Machine, aborted *cluster.Task,
 			JobID: js.j.ID, Seq: js.seq, From: "IC", To: "IC",
 		})
 	}
-	e.retries++
+	e.c.Retries++
 	e.submitIC(js)
 }
 
@@ -290,7 +290,7 @@ func (e *Engine) retryFire(now float64, js *jobState, phase recoveryPhase) {
 				Attempt: js.attempts,
 			})
 		}
-		e.retries++
+		e.c.Retries++
 		e.submitDownload(js, now)
 		return
 	}
@@ -314,7 +314,7 @@ func (e *Engine) retryFire(now float64, js *jobState, phase recoveryPhase) {
 			Attempt: js.attempts,
 		})
 	}
-	e.retries++
+	e.c.Retries++
 	if phase == phaseUpload {
 		e.submitUpload(js)
 	} else {
@@ -338,6 +338,6 @@ func (e *Engine) fallBack(js *jobState, at float64) {
 			Attempt: js.attempts,
 		})
 	}
-	e.fallbks++
+	e.c.Fallbacks++
 	e.submitIC(js)
 }

@@ -431,7 +431,7 @@ func (e *Engine) onBatch(b workload.Batch) {
 // (1-based shard, snapshot epoch, claimed machine or -1, placement round).
 func (e *Engine) processDecision(d sched.Decision, batch, shard1, epoch, machine, attempt int) {
 	if d.BudgetDenied {
-		e.budgetDenied++
+		e.c.BudgetDenials++
 	}
 	js := e.newJobState()
 	*js = jobState{j: d.Job, seq: e.seqNext, place: d.Place}
@@ -662,18 +662,12 @@ func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 		ChunksCreated:         e.chunks,
 		UploadedBytes:         e.uploadedBytes,
 		DownloadedBytes:       e.downloadedBytes,
-		FinalThreads:          e.upTuner.Threads(),
 		QRSMR2:                e.estimator.GlobalModel().SettledR2(),
 		PredictorObservations: e.upPred.Observations(),
 		ECRevocations:         e.ec.Revoked(),
 		TransferStalls:        e.stalls,
 		TransferAborts:        e.aborts,
-		Retries:               e.retries,
-		Fallbacks:             e.fallbks,
-		BudgetDenials:         e.budgetDenied,
-		Conflicts:             e.conflicts,
-		Replacements:          e.replacements,
-		CommitRetries:         e.commitRetries,
+		Counters:              e.c,
 	}
 	if e.icFaults != nil {
 		r.ICCrashes = e.icFaults.Failures()

@@ -50,7 +50,7 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 		if attempt > 1 {
 			parts := e.coord.Partitioner()
 			for _, j := range pending {
-				e.replacements++
+				e.c.Replacements++
 				if e.wants(trace.PlacementRetried) {
 					s := 0
 					if nShards > 1 {
@@ -80,7 +80,7 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 				}
 				continue
 			}
-			e.conflicts++
+			e.c.Conflicts++
 			if e.wants(trace.PlacementConflict) {
 				e.tracer.Emit(trace.Event{
 					Type: trace.PlacementConflict, T: e.eng.Now(),
@@ -94,7 +94,7 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 			losers = append(losers, o.D.Job)
 		}
 		if attempt > 1 {
-			e.commitRetries++
+			e.c.CommitRetries++
 		}
 
 		// SIBS shards publish refreshed size-interval bounds per round, the

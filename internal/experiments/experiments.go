@@ -173,8 +173,7 @@ func resultMetrics(r *engine.Result) sweep.Metrics {
 		PeakCount:        peaks,
 		TotalStall:       stall,
 		ECMachineSeconds: r.ECMachineSeconds,
-		Retries:          r.Retries,
-		Fallbacks:        r.Fallbacks,
+		Counters:         r.Counters,
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudburst/internal/metrics"
 	"cloudburst/internal/sweep"
 )
 
@@ -418,7 +419,7 @@ func TestPresetMargins(t *testing.T) {
 	if p := byName["admission-violation"]; !p.Holds(sweep.Metrics{AdmissionViolations: 1}) || p.Holds(sweep.Metrics{}) {
 		t.Fatal("admission-violation threshold is not violations > 0")
 	}
-	if p := byName["budget-fallback"]; !p.Holds(sweep.Metrics{BudgetDenials: 3}) || p.Holds(sweep.Metrics{}) {
+	if p := byName["budget-fallback"]; !p.Holds(sweep.Metrics{Counters: metrics.Counters{BudgetDenials: 3}}) || p.Holds(sweep.Metrics{}) {
 		t.Fatal("budget-fallback threshold is not denials > 0")
 	}
 	p := byName["oo-stagnation"]

@@ -1,41 +1,34 @@
 package sweep
 
+import (
+	"reflect"
+
+	"cloudburst/internal/metrics"
+)
+
 // Metrics is the per-cell measurement vector streamed to sinks, persisted
 // in the resume manifest, and consumed by the aggregation layer. It mirrors
 // the headline SLA metrics of a run report; producers fill it from either a
 // public Report (root package) or an engine.Result (experiments).
 type Metrics struct {
-	Makespan   float64 `json:"makespan"`
-	Speedup    float64 `json:"speedup"`
-	BurstRatio float64 `json:"burstRatio"`
-	ICUtil     float64 `json:"icUtil"`
-	ECUtil     float64 `json:"ecUtil"`
-	TSeq       float64 `json:"tseq"`
+	Makespan   float64 `json:"makespan" csv:"makespan"`
+	Speedup    float64 `json:"speedup" csv:"speedup"`
+	BurstRatio float64 `json:"burstRatio" csv:"burst_ratio"`
+	ICUtil     float64 `json:"icUtil" csv:"ic_util"`
+	ECUtil     float64 `json:"ecUtil" csv:"ec_util"`
+	TSeq       float64 `json:"tseq" csv:"tseq"`
 
-	Jobs   int `json:"jobs"`
-	Chunks int `json:"chunks"`
+	Jobs   int `json:"jobs" csv:"jobs"`
+	Chunks int `json:"chunks" csv:"chunks"`
 
-	PeakCount  int     `json:"peakCount"`
-	TotalStall float64 `json:"totalStall"`
+	PeakCount  int     `json:"peakCount" csv:"peak_count"`
+	TotalStall float64 `json:"totalStall" csv:"total_stall"`
 
-	ECMachineSeconds float64 `json:"ecMachineSeconds"`
+	ECMachineSeconds float64 `json:"ecMachineSeconds" csv:"ec_machine_seconds"`
 
-	Retries   int `json:"retries"`
-	Fallbacks int `json:"fallbacks"`
-
-	// Cost accounting (zero when the cell's pricing model is off).
-	CostRental    float64 `json:"costRental,omitempty"`
-	CostCommitted float64 `json:"costCommitted,omitempty"`
-	CostBudget    float64 `json:"costBudget,omitempty"`
-
-	// BudgetDenials counts jobs the budget gate forced onto the IC against
-	// the scheduler's preference.
-	BudgetDenials int `json:"budgetDenials,omitempty"`
-
-	// Sharded-scheduling accounting (zero on the monolithic path).
-	Conflicts     int `json:"conflicts,omitempty"`
-	Replacements  int `json:"replacements,omitempty"`
-	CommitRetries int `json:"commitRetries,omitempty"`
+	// Retry, cost, budget and shard counters; their JSON keys and CSV
+	// columns flatten into this vector in place.
+	metrics.Counters
 
 	// AdmissionViolations is the audit's count of admitted bursts whose
 	// realized round trip overran the admission threshold. It is only
@@ -44,38 +37,29 @@ type Metrics struct {
 	// depend on audit-derived fields (the frontier search's
 	// admission-violation predicate) must reject unaudited records instead
 	// of trusting their zeros.
-	AdmissionViolations int  `json:"admissionViolations,omitempty"`
+	AdmissionViolations int  `json:"admissionViolations,omitempty" csv:"admission_violations"`
 	Audited             bool `json:"audited,omitempty"`
 }
 
-// metricDefs fixes the canonical metric order used by CSV columns and the
-// aggregator, and maps each name to its accessor.
-var metricDefs = []struct {
-	name string
-	get  func(Metrics) float64
-}{
-	{"makespan", func(m Metrics) float64 { return m.Makespan }},
-	{"speedup", func(m Metrics) float64 { return m.Speedup }},
-	{"burst_ratio", func(m Metrics) float64 { return m.BurstRatio }},
-	{"ic_util", func(m Metrics) float64 { return m.ICUtil }},
-	{"ec_util", func(m Metrics) float64 { return m.ECUtil }},
-	{"tseq", func(m Metrics) float64 { return m.TSeq }},
-	{"jobs", func(m Metrics) float64 { return float64(m.Jobs) }},
-	{"chunks", func(m Metrics) float64 { return float64(m.Chunks) }},
-	{"peak_count", func(m Metrics) float64 { return float64(m.PeakCount) }},
-	{"total_stall", func(m Metrics) float64 { return m.TotalStall }},
-	{"ec_machine_seconds", func(m Metrics) float64 { return m.ECMachineSeconds }},
-	{"retries", func(m Metrics) float64 { return float64(m.Retries) }},
-	{"fallbacks", func(m Metrics) float64 { return float64(m.Fallbacks) }},
-	{"cost_rental", func(m Metrics) float64 { return m.CostRental }},
-	{"cost_committed", func(m Metrics) float64 { return m.CostCommitted }},
-	{"cost_budget", func(m Metrics) float64 { return m.CostBudget }},
-	{"budget_denials", func(m Metrics) float64 { return float64(m.BudgetDenials) }},
-	{"conflicts", func(m Metrics) float64 { return float64(m.Conflicts) }},
-	{"replacements", func(m Metrics) float64 { return float64(m.Replacements) }},
-	{"commit_retries", func(m Metrics) float64 { return float64(m.CommitRetries) }},
-	{"admission_violations", func(m Metrics) float64 { return float64(m.AdmissionViolations) }},
+// metricDef names one metric column and the field index path that reads
+// it.
+type metricDef struct {
+	name  string
+	index []int
 }
+
+// metricDefs fixes the canonical metric order used by CSV columns and the
+// aggregator: every csv-tagged field of Metrics, including the embedded
+// counters, in declaration order.
+var metricDefs = func() []metricDef {
+	var defs []metricDef
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Metrics{})) {
+		if name, ok := f.Tag.Lookup("csv"); ok {
+			defs = append(defs, metricDef{name, f.Index})
+		}
+	}
+	return defs
+}()
 
 // MetricNames returns the canonical metric column order.
 func MetricNames() []string {
@@ -90,7 +74,11 @@ func MetricNames() []string {
 func (m Metrics) Value(name string) float64 {
 	for _, d := range metricDefs {
 		if d.name == name {
-			return d.get(m)
+			f := reflect.ValueOf(m).FieldByIndex(d.index)
+			if f.CanInt() {
+				return float64(f.Int())
+			}
+			return f.Float()
 		}
 	}
 	return 0

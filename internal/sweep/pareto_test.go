@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"cloudburst/internal/metrics"
 )
 
 func paretoResult(index int, cost, makespan float64) Result {
 	return Result{
 		Cell:    Cell{Index: index},
-		Metrics: Metrics{CostRental: cost, Makespan: makespan},
+		Metrics: Metrics{Counters: metrics.Counters{CostRental: cost}, Makespan: makespan},
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -253,21 +254,47 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// TestMetricsValueCoversAllNames derives its expectation from the Metrics
+// declaration itself: every numeric field, embedded counters included,
+// must carry a csv tag, MetricNames must list those tags in declaration
+// order, and Value must read each name from its own field.
 func TestMetricsValueCoversAllNames(t *testing.T) {
-	m := Metrics{Makespan: 1, Speedup: 2, BurstRatio: 3, ICUtil: 4, ECUtil: 5, TSeq: 6,
-		Jobs: 7, Chunks: 8, PeakCount: 9, TotalStall: 10, ECMachineSeconds: 11, Retries: 12, Fallbacks: 13,
-		CostRental: 14, CostCommitted: 15, CostBudget: 16, BudgetDenials: 17,
-		Conflicts: 18, Replacements: 19, CommitRetries: 20, AdmissionViolations: 21}
-	seen := make(map[float64]bool)
-	for _, name := range MetricNames() {
-		v := m.Value(name)
-		if v < 1 || v > 21 || seen[v] {
-			t.Fatalf("metric %q maps to %v (missing or duplicate field)", name, v)
+	var m Metrics
+	v := reflect.ValueOf(&m).Elem()
+	want := make(map[string]float64)
+	var tagged []string
+	for i, f := range reflect.VisibleFields(v.Type()) {
+		if f.Anonymous {
+			continue
 		}
-		seen[v] = true
+		name, ok := f.Tag.Lookup("csv")
+		switch fv := v.FieldByIndex(f.Index); fv.Kind() {
+		case reflect.Int:
+			fv.SetInt(int64(i + 1))
+		case reflect.Float64:
+			fv.SetFloat(float64(i + 1))
+		default:
+			if ok {
+				t.Fatalf("csv column %q is a %s field, not a number", name, fv.Kind())
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("numeric field %s carries no csv tag", f.Name)
+		}
+		want[name] = float64(i + 1)
+		tagged = append(tagged, name)
 	}
-	if len(seen) != 21 {
-		t.Fatalf("MetricNames covers %d fields, want 21", len(seen))
+	if got := MetricNames(); !reflect.DeepEqual(got, tagged) {
+		t.Fatalf("MetricNames = %v, want the csv tags in declaration order %v", got, tagged)
+	}
+	for _, name := range MetricNames() {
+		if got := m.Value(name); got != want[name] {
+			t.Fatalf("Value(%q) = %v, want %v", name, got, want[name])
+		}
+	}
+	if got := m.Value("no_such_metric"); got != 0 {
+		t.Fatalf("unknown metric read %v, want 0", got)
 	}
 }
 

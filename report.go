@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"cloudburst/internal/engine"
+	"cloudburst/internal/metrics"
 	"cloudburst/internal/sla"
 	"cloudburst/internal/stats"
 )
@@ -15,6 +16,11 @@ type Point struct {
 	T float64 // virtual seconds (or sequence position for per-job series)
 	V float64
 }
+
+// RunCounters holds a run's retry, cost, budget and shard counters, one
+// documented field each. Report and SweepMetrics embed it, so every counter
+// has one declaration and one name in reports, sweep sinks and manifests.
+type RunCounters = metrics.Counters
 
 // Report summarizes one simulated run and gives access to the SLA series
 // behind the paper's figures.
@@ -50,37 +56,17 @@ type Report struct {
 	SiteBursts []int
 	SiteUtils  []float64
 
-	// Cost accounting (all zero unless Options.Cost armed the pricing
-	// model). CostRental is the billing-rounded rental bill of every
-	// external machine held; CostCommitted the prepaid spend the budget
-	// gate metered over admitted bursts; CostBudget echoes the configured
-	// cap (0 = unlimited).
-	CostRental    float64
-	CostCommitted float64
-	CostBudget    float64
-	// BudgetDenials counts jobs the budget gate forced onto the internal
-	// cloud against the scheduler's preference — nonzero only when a
-	// positive budget actually bound an admission decision.
-	BudgetDenials int
-
 	// Fault-injection accounting (all zero unless Options.Faults armed a
-	// fault source). Retries counts re-admissions of disturbed jobs;
-	// Fallbacks counts jobs that abandoned the EC for the internal cloud.
+	// fault source).
 	ECRevocations  int
 	ICCrashes      int
 	TransferStalls int
 	TransferAborts int
-	Retries        int
-	Fallbacks      int
 
-	// Sharded-scheduling accounting (all zero unless Options.Shards armed
-	// Count > 1). Conflicts counts commit-phase placement collisions —
-	// machine slots claimed twice or budget over-commits; Replacements
-	// counts jobs sent back for another round; CommitRetries counts the
-	// extra rounds themselves.
-	Conflicts     int
-	Replacements  int
-	CommitRetries int
+	// Retry, cost, budget and shard counters (see RunCounters). The cost
+	// figures are zero unless Options.Cost armed the pricing model, the
+	// shard counters zero unless Options.Shards armed Count > 1.
+	RunCounters
 
 	opts Options
 	res  *engine.Result
@@ -113,15 +99,7 @@ func newReport(o Options, res *engine.Result, rec *TraceRecorder) *Report {
 		ICCrashes:        res.ICCrashes,
 		TransferStalls:   res.TransferStalls,
 		TransferAborts:   res.TransferAborts,
-		Retries:          res.Retries,
-		Fallbacks:        res.Fallbacks,
-		CostRental:       res.CostRental,
-		CostCommitted:    res.CostCommitted,
-		CostBudget:       res.CostBudget,
-		BudgetDenials:    res.BudgetDenials,
-		Conflicts:        res.Conflicts,
-		Replacements:     res.Replacements,
-		CommitRetries:    res.CommitRetries,
+		RunCounters:      res.Counters,
 		opts:             o,
 		res:              res,
 		rec:              rec,

@@ -225,15 +225,7 @@ func sweepMetrics(r *Report) SweepMetrics {
 		PeakCount:        r.PeakCount,
 		TotalStall:       r.TotalStall,
 		ECMachineSeconds: r.ECMachineSeconds,
-		Retries:          r.Retries,
-		Fallbacks:        r.Fallbacks,
-		CostRental:       r.CostRental,
-		CostCommitted:    r.CostCommitted,
-		CostBudget:       r.CostBudget,
-		BudgetDenials:    r.BudgetDenials,
-		Conflicts:        r.Conflicts,
-		Replacements:     r.Replacements,
-		CommitRetries:    r.CommitRetries,
+		Counters:         r.RunCounters,
 	}
 }
 
