@@ -32,7 +32,7 @@ func synthTruth(f job.Features) float64 {
 }
 
 func TestEstimatorFallbackBeforeData(t *testing.T) {
-	e := NewEstimator(WithFallbackRate(2), WithFloor(1))
+	e := NewEstimator()
 	f := job.Features{SizeMB: 50}
 	if got := e.Estimate(f); got != 100 {
 		t.Fatalf("fallback estimate = %v, want 100", got)
@@ -81,7 +81,8 @@ func TestEstimatorBootstrapLengthMismatchPanics(t *testing.T) {
 
 func TestEstimatorOnlineRefit(t *testing.T) {
 	g := stats.NewRNG(11)
-	e := NewEstimator(WithRefitEvery(10))
+	e := NewEstimator()
+	e.refitEvery = 10
 	// Stream enough observations that auto-refit fires (needs 55+ for the
 	// 9-feature model).
 	for i := 0; i < 120; i++ {
@@ -101,7 +102,8 @@ func TestEstimatorOnlineRefit(t *testing.T) {
 
 func TestEstimatorPerClassPreferred(t *testing.T) {
 	g := stats.NewRNG(12)
-	e := NewEstimator(WithRefitEvery(1000)) // manual refit only
+	e := NewEstimator()
+	e.refitEvery = 1000 // manual refit only
 	// Class-specific truth: statements are much cheaper than the global mix.
 	for i := 0; i < 200; i++ {
 		f := synthFeatures(g, job.Statement)

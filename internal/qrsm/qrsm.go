@@ -36,9 +36,8 @@ func BasisSize(dim int) int {
 // Model is a quadratic response surface over a fixed-dimension feature
 // vector. The zero value is unusable; call New.
 type Model struct {
-	dim        int
-	lambda     float64
-	maxSamples int
+	dim    int
+	lambda float64 // ridge regularization strength
 
 	// Training pairs. Feature vectors are stored flat (sample i occupies
 	// xd[i*dim : (i+1)*dim]): one slab grown amortized instead of one copy
@@ -77,31 +76,12 @@ type Model struct {
 	ws   linalg.Workspace
 }
 
-// Option configures a Model.
-type Option func(*Model)
-
-// WithRidge sets the ridge regularization strength (default 1e-6).
-func WithRidge(lambda float64) Option {
-	return func(m *Model) { m.lambda = lambda }
-}
-
-// WithWindow bounds the number of retained training samples; the oldest are
-// discarded first. This is what lets the autonomic system "subsequently
-// learn and tune the model" as conditions drift. Zero (default) keeps all.
-func WithWindow(n int) Option {
-	return func(m *Model) { m.maxSamples = n }
-}
-
 // New creates a model over dim-dimensional feature vectors.
-func New(dim int, opts ...Option) *Model {
+func New(dim int) *Model {
 	if dim <= 0 {
 		panic(fmt.Sprintf("qrsm: dimension %d must be positive", dim))
 	}
-	m := &Model{dim: dim, lambda: 1e-6}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+	return &Model{dim: dim, lambda: 1e-6}
 }
 
 // Dim returns the feature dimension.
@@ -132,13 +112,6 @@ func (m *Model) Observe(x []float64, y float64) {
 	}
 	m.xd = append(m.xd, x...)
 	m.ys = append(m.ys, y)
-	if m.maxSamples > 0 && len(m.ys) > m.maxSamples {
-		// Copy down instead of reslicing so the backing arrays stop growing
-		// once the window is full.
-		drop := len(m.ys) - m.maxSamples
-		m.xd = m.xd[:copy(m.xd, m.xd[drop*m.dim:])]
-		m.ys = m.ys[:copy(m.ys, m.ys[drop:])]
-	}
 	m.dirty = true
 }
 
@@ -210,14 +183,7 @@ func (m *Model) Fit() error {
 // what makes a fixed refit cadence nearly free for models that are rarely
 // consulted. The window length is snapshotted at request time, so the
 // deferred fit covers precisely the samples an eager fit would have seen.
-//
-// Windowed models (WithWindow) fit eagerly instead: once the window
-// slides, the snapshot this request names could no longer be reconstructed.
 func (m *Model) RequestFit() {
-	if m.maxSamples > 0 {
-		_ = m.Fit()
-		return
-	}
 	m.pending = true
 	m.pendingN = len(m.ys)
 }
@@ -405,7 +371,7 @@ func (m *Model) CloneInto(dst *Model) *Model {
 	if dst == nil {
 		dst = &Model{}
 	}
-	dst.dim, dst.lambda, dst.maxSamples = m.dim, m.lambda, m.maxSamples
+	dst.dim, dst.lambda = m.dim, m.lambda
 	dst.xd = append(dst.xd[:0], m.xd...)
 	dst.ys = append(dst.ys[:0], m.ys...)
 	dst.fitted = m.fitted

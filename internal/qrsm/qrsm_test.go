@@ -163,45 +163,6 @@ func TestConstantFeatureDoesNotBlowUp(t *testing.T) {
 	}
 }
 
-func TestWindowDropsOldSamples(t *testing.T) {
-	m := New(1, WithWindow(10))
-	for i := 0; i < 25; i++ {
-		m.Observe([]float64{float64(i)}, float64(i))
-	}
-	if m.NumSamples() != 10 {
-		t.Fatalf("NumSamples = %d, want 10", m.NumSamples())
-	}
-	// The retained samples must be the newest ones (15..24).
-	if m.sample(0)[0] != 15 {
-		t.Fatalf("oldest retained = %v, want 15", m.sample(0)[0])
-	}
-}
-
-func TestModelAdaptsAfterDrift(t *testing.T) {
-	// With a sliding window, the model tracks a regime change — the
-	// "subsequently tune the model" behaviour.
-	m := New(1, WithWindow(30))
-	for i := 0; i < 30; i++ {
-		x := float64(i % 10)
-		m.Observe([]float64{x}, 2*x)
-	}
-	if err := m.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := m.Predict([]float64{5})
-	for i := 0; i < 30; i++ {
-		x := float64(i % 10)
-		m.Observe([]float64{x}, 10*x) // regime change: slope 2 -> 10
-	}
-	if err := m.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := m.Predict([]float64{5})
-	if math.Abs(before-10) > 0.5 || math.Abs(after-50) > 0.5 {
-		t.Fatalf("drift adaptation failed: before=%v after=%v", before, after)
-	}
-}
-
 func TestCoefficientsCopy(t *testing.T) {
 	m := New(1)
 	for i := 0; i < 10; i++ {
@@ -290,7 +251,8 @@ func TestColumnAssemblyMatchesRowMajor(t *testing.T) {
 	g := stats.NewRNG(17)
 	for _, dim := range []int{1, 2, 3, 9} {
 		for _, lambda := range []float64{1e-6, 0} {
-			m := New(dim, WithRidge(lambda))
+			m := New(dim)
+			m.lambda = lambda
 			var xs [][]float64
 			var ys []float64
 			p := BasisSize(dim)
@@ -343,22 +305,6 @@ func TestRefitAllocationFree(t *testing.T) {
 	for j := range x {
 		x[j] = float64(j + 1)
 	}
-	t.Run("windowed", func(t *testing.T) {
-		m := New(dim, WithWindow(300))
-		observeRandom(m, stats.NewRNG(5), 400)
-		if err := m.Fit(); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			m.Observe(x, 42)
-			if err := m.Fit(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("windowed refit allocated %v times per Observe+Fit, want 0", allocs)
-		}
-	})
 	t.Run("growing", func(t *testing.T) {
 		m := New(dim)
 		g := stats.NewRNG(6)
